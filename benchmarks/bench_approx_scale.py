@@ -86,7 +86,7 @@ def kernel_payload():
 
 
 def test_kernel_scale(benchmark, kernel_payload):
-    """Counts-first kernels: parity + no-regression vs the legacy path.
+    """Counts-first kernels: parity + no-regression vs the legacy sort.
 
     The committed 100k/1M numbers live under the ``kernels`` key of
     ``BENCH_scale.json`` (``python -m repro kernel-bench``); this wrapper
@@ -96,20 +96,19 @@ def test_kernel_scale(benchmark, kernel_payload):
     runs = benchmark.pedantic(lambda: kernel_payload["runs"], rounds=1,
                               iterations=1)
     table = Table(
-        "repro.kernels - dispatched counts vs legacy partitions (scaled)",
+        "repro.kernels - dispatched counts vs legacy sort (scaled)",
         ["rows", "dispatch_evals_s", "legacy_evals_s", "eval_speedup",
-         "mine_fast_s", "mine_legacy_s", "mine_speedup", "parity"],
+         "mine_s", "exact_rows_per_s", "mvds"],
     )
     for r in runs:
         table.add(r)
     table.show()
 
     assert runs, "benchmark produced no runs"
-    # Contract: identical mined output and bit-identical entropies per size.
+    # Contract: bit-identical entropies per size, dispatch never slower.
     gate = kernel_payload["gate"]
     assert gate["passed"], f"kernel gate failures: {gate['failures']}"
     for r in runs:
-        assert r["parity"], f"mined output diverged at {r['rows']} rows"
         # The dispatcher must actually be choosing the O(n + K) kernel on
         # this dense surrogate, not silently falling back to the sort path.
         assert r["kernels"].get("bincount", 0) > 0

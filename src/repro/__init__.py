@@ -31,7 +31,6 @@ from repro.data.relation import Relation
 from repro.data.loaders import from_csv, from_rows, from_columns
 from repro.entropy import (
     EntropyOracle,
-    NaiveEntropyEngine,
     PLICacheEngine,
     StrippedPartition,
     make_oracle,
@@ -86,7 +85,6 @@ __all__ = [
     "from_rows",
     "from_columns",
     "EntropyOracle",
-    "NaiveEntropyEngine",
     "PLICacheEngine",
     "StrippedPartition",
     "make_oracle",

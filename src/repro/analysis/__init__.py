@@ -1,10 +1,10 @@
 """repro.analysis — repo-invariant static analysis.
 
 A small pluggable AST-analysis framework plus the rules that encode this
-repository's hard-won invariants: numba dtype discipline in the kernels
-(RPR001), lock discipline in the warm-serve layer (RPR002), no
-frozenset churn on the lattice hot paths (RPR003), spec/registry/CLI/
-route parity (RPR004) and strict parsing of request payloads (RPR005).
+repository's hard-won invariants: lock discipline in the warm-serve
+layer (RPR002), no frozenset churn on the lattice hot paths (RPR003),
+spec/registry/CLI/route parity (RPR004) and strict parsing of request
+payloads (RPR005).
 
 Run it as ``repro check``; configure it under ``[tool.repro-analysis]``
 in pyproject.toml; waive a deliberate exception inline with

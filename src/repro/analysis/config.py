@@ -42,7 +42,6 @@ class AnalysisConfig:
     rules: List[str] = field(default_factory=list)
     warn_unused_pragmas: bool = True
     baseline: Optional[str] = None
-    jobs: int = 0  # 0 = pick from cpu count
     rule_options: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     def options_for(self, rule_id: str) -> Dict[str, Any]:
@@ -174,8 +173,6 @@ def load_config(
         config.warn_unused_pragmas = table["warn_unused_pragmas"]
     if isinstance(table.get("baseline"), str) and table["baseline"]:
         config.baseline = table["baseline"]
-    if isinstance(table.get("jobs"), int):
-        config.jobs = table["jobs"]
     for key, value in table.items():
         if isinstance(value, dict):
             config.rule_options[key.lower()] = dict(value)

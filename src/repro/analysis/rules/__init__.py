@@ -12,13 +12,11 @@ from repro.analysis.rules.base import (
 )
 from repro.analysis.rules.hot_sets import HotSetRule
 from repro.analysis.rules.lock_discipline import LockDisciplineRule
-from repro.analysis.rules.numba_dtypes import NumbaDtypeRule
 from repro.analysis.rules.spec_drift import SpecDriftRule
 from repro.analysis.rules.strict_parse import StrictParseRule
 
 #: All registered rules; ``repro check --list-rules`` prints this table.
 ALL_RULES = (
-    NumbaDtypeRule,
     LockDisciplineRule,
     HotSetRule,
     SpecDriftRule,
@@ -35,7 +33,6 @@ __all__ = [
     "ALL_RULES",
     "HotSetRule",
     "LockDisciplineRule",
-    "NumbaDtypeRule",
     "ParsedModule",
     "Rule",
     "SpecDriftRule",

@@ -1,8 +1,8 @@
 """Analyzer driver: discover, parse once, run rules, reduce to a report.
 
 The runner owns everything rule authors should never re-implement: file
-discovery under the configured roots, parallel parsing (each file is
-parsed exactly once and the tree shared by every rule), pragma
+discovery under the configured roots, parsing (each file is parsed
+exactly once and the tree shared by every rule), pragma
 suppression, unused-pragma accounting, baseline subtraction and stable
 ``path:line:col`` ordering.  Rules only look at ASTs and emit findings.
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import ast
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -128,18 +127,17 @@ def run_analysis(
 ) -> Report:
     rules = select_rules(config, only_rules)
     files = discover_files(config.root, config.paths, config.exclude)
-    jobs = config.jobs if config.jobs > 0 else min(8, os.cpu_count() or 1)
     modules: List[ParsedModule] = []
     raw: List[Finding] = []
-    if files:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for module, error in pool.map(
-                lambda rel: _parse_one(config.root, rel), files
-            ):
-                if error is not None:
-                    raw.append(error)
-                if module is not None:
-                    modules.append(module)
+    # Serial on purpose: ast.parse holds the GIL, so threads buy nothing,
+    # and CPython 3.11's AST constructor is not safe to run from several
+    # threads at once ("recursion depth mismatch" on multi-CPU hosts).
+    for rel in files:
+        module, error = _parse_one(config.root, rel)
+        if error is not None:
+            raw.append(error)
+        if module is not None:
+            modules.append(module)
 
     for module in modules:
         for rule in rules:

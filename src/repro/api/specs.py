@@ -7,8 +7,8 @@ knobs (engine, workers, persist, eps, budget, top, objective, ...) with
 subtly different validation.  This module is now the single place those
 knobs are *defined* and *validated*:
 
-* :class:`EngineSpec` — how entropies are computed (engine arm, block
-  size, worker pool, persistent cache, delta tracking);
+* :class:`EngineSpec` — how entropies are computed (engine arm, worker
+  pool, persistent cache, delta tracking, sampling knobs);
 * :class:`DataSpec`   — where the relation comes from (a CSV path or a
   built-in Table 2 surrogate plus scale/row cap);
 * :class:`MineSpec` / :class:`SchemasSpec` / :class:`ProfileSpec` /
@@ -32,10 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Type, TypeVar
 
 #: The entropy engine arms ``make_oracle`` knows how to build.
-ENGINES = ("pli", "naive", "sql", "estimated", "approx")
-
-#: Engines that accept a non-MLE ``estimator`` knob.
-ESTIMATOR_ENGINES = ("estimated", "approx")
+ENGINES = ("pli", "approx")
 
 S = TypeVar("S", bound="Spec")
 
@@ -136,15 +133,12 @@ class EngineSpec(Spec):
     Fields
     ------
     engine:
-        ``"pli"`` (default), ``"naive"``, ``"sql"``, ``"estimated"`` or
-        ``"approx"`` — see :func:`repro.entropy.oracle.make_oracle`.
-    block_size:
-        PLI/SQL block-cache parameter.
+        ``"pli"`` (default; exact, counts-first) or ``"approx"`` (sampled
+        decisions with exact escalation) — see
+        :func:`repro.entropy.oracle.make_oracle`.
     workers:
-        Entropy worker processes; ``> 1`` requires a PLI-backed arm (the
-        pool always runs PLI engines, so pairing it with another arm
-        would silently change the engine under the caller).  For
-        ``"approx"`` the pool serves the exact escalation tier.
+        Entropy worker processes.  For ``"approx"`` the pool serves the
+        exact escalation tier.
     persist, cache_dir:
         On-disk entropy cache; ``cache_dir`` is only meaningful with
         ``persist`` on, so setting it with ``persist=False`` is an error
@@ -153,13 +147,12 @@ class EngineSpec(Spec):
         Record delta-maintenance state so appends patch the warm oracle
         (see :mod:`repro.delta`).  A session-lifetime knob: it never
         changes results, so it is excluded from result provenance.
-        Oracles whose values are not plug-in entropies (``estimated`` with
-        a corrected estimator, ``approx``) decline tracking and rebuild
-        on advance instead.
+        Oracles whose values are not plug-in entropies (``approx``)
+        decline tracking and rebuild on advance instead.
     estimator:
-        Entropy estimator for the ``estimated`` / ``approx`` arms
+        Entropy estimator centring the ``approx`` intervals
         (:data:`repro.entropy.estimators.ESTIMATORS`); must stay ``"mle"``
-        for exact engines, whose values *are* the plug-in estimate.
+        for ``pli``, whose values *are* the plug-in estimate.
     sample_rows, confidence, sample_seed:
         ``approx``-only sampling knobs: sample size, decision confidence
         level in ``(0, 1)`` and sampling seed.  ``None`` means the engine
@@ -174,7 +167,6 @@ class EngineSpec(Spec):
     """
 
     engine: str = "pli"
-    block_size: int = 10
     workers: int = 1
     persist: bool = False
     cache_dir: Optional[str] = None
@@ -189,14 +181,8 @@ class EngineSpec(Spec):
         _require(self.engine in ENGINES,
                  f"unknown engine {self.engine!r}; expected "
                  + ", ".join(repr(e) for e in ENGINES), field="engine")
-        _require(_is_int(self.block_size) and self.block_size >= 1,
-                 "'block_size' must be an integer >= 1", field="block_size")
         _require(_is_int(self.workers) and self.workers >= 1,
                  "'workers' must be an integer >= 1", field="workers")
-        _require(self.workers == 1 or self.engine in ("pli", "approx"),
-                 f"'workers' > 1 runs PLI engines on the worker pool and "
-                 f"cannot be combined with engine {self.engine!r}; use "
-                 f"engine 'pli'/'approx' or workers=1", field="workers")
         _require(isinstance(self.persist, bool),
                  "'persist' must be a boolean", field="persist")
         _require(self.cache_dir is None or isinstance(self.cache_dir, str),
@@ -211,11 +197,10 @@ class EngineSpec(Spec):
         _require(self.estimator in ESTIMATORS,
                  f"unknown estimator {self.estimator!r}; known: "
                  + ", ".join(sorted(ESTIMATORS)), field="estimator")
-        _require(self.estimator == "mle" or self.engine in ESTIMATOR_ENGINES,
-                 f"'estimator' {self.estimator!r} only applies to engines "
-                 + "/".join(repr(e) for e in ESTIMATOR_ENGINES)
-                 + f"; engine {self.engine!r} computes plug-in entropies",
-                 field="estimator")
+        _require(self.estimator == "mle" or self.engine == "approx",
+                 f"'estimator' {self.estimator!r} only applies to engine "
+                 f"'approx'; engine {self.engine!r} computes plug-in "
+                 f"entropies", field="estimator")
         _require(self.sample_rows is None
                  or (_is_int(self.sample_rows) and self.sample_rows >= 1),
                  "'sample_rows' must be an integer >= 1 or null",
@@ -267,8 +252,6 @@ class EngineSpec(Spec):
         engine = payload.get("engine", base.engine)
         workers = _int_or_error(payload, "workers", base.workers,
                                 "'workers' must be an integer")
-        block_size = _int_or_error(payload, "block_size", base.block_size,
-                                   "'block_size' must be an integer")
         persist = payload.get("persist", base.persist)
         if not isinstance(persist, bool):
             # No bool() coercion: bool("false") is True, which would
@@ -282,7 +265,6 @@ class EngineSpec(Spec):
                             field="estimator")
         return cls(
             engine=engine,
-            block_size=block_size,
             workers=workers,
             persist=persist,
             # Only meaningful when this request actually persists (and
@@ -315,10 +297,10 @@ class EngineSpec(Spec):
         * ``trace`` is excluded for the same reason — telemetry about
           the run, never part of what the run computed;
         * the sampling knobs (``estimator``, ``sample_rows``,
-          ``confidence``, ``sample_seed``) are stamped only for the
-          engines they apply to — on exact engines they are pinned to
-          their inert defaults by ``validate()``, and stamping them there
-          would diff-warn every pre-existing artefact.  For ``approx``
+          ``confidence``, ``sample_seed``) are stamped only for
+          ``approx`` — on ``pli`` they are pinned to their inert
+          defaults by ``validate()``, and stamping them there would
+          diff-warn every pre-existing artefact.  For ``approx``
           the *resolved* defaults are stamped (not ``None``), so the
           artefact records the actual sample configuration that produced
           it even if engine defaults change later.
@@ -328,8 +310,6 @@ class EngineSpec(Spec):
         out.pop("persist")
         out.pop("cache_dir")
         out.pop("trace")
-        if self.engine not in ESTIMATOR_ENGINES:
-            out.pop("estimator")
         if self.engine == "approx":
             from repro.approx.engine import (
                 DEFAULT_CONFIDENCE,
@@ -344,6 +324,7 @@ class EngineSpec(Spec):
             if out["sample_seed"] is None:
                 out["sample_seed"] = DEFAULT_SAMPLE_SEED
         else:
+            out.pop("estimator")
             out.pop("sample_rows")
             out.pop("confidence")
             out.pop("sample_seed")
@@ -366,7 +347,6 @@ class EngineSpec(Spec):
         return oracle_module.make_oracle(
             relation,
             engine=self.engine,
-            block_size=self.block_size,
             workers=self.workers,
             persist=self.persist,
             cache_dir=self.cache_dir,

@@ -99,7 +99,7 @@ class ApproxEntropyEngine(EntropyOracle):
         (distribution-free, wide — escalates far more).
     sample_method:
         ``"uniform"`` (default) or ``"stratified"`` row draw.
-    workers, persist, cache_dir, block_size, cross_cache_size:
+    workers, persist, cache_dir:
         Configuration of the exact escalation tier, passed through to
         ``make_oracle(engine="pli", ...)``; the tier is built lazily on
         the first escalation, so sample-decided runs never pay for it.
@@ -119,8 +119,6 @@ class ApproxEntropyEngine(EntropyOracle):
         sample_seed: Optional[int] = None,
         bound: str = "clt",
         sample_method: str = "uniform",
-        block_size: int = 10,
-        cross_cache_size: int = 4096,
         workers: int = 1,
         persist: bool = False,
         cache_dir: Optional[str] = None,
@@ -149,11 +147,7 @@ class ApproxEntropyEngine(EntropyOracle):
         self.estimator = estimator
         self._delta = 1.0 - self.confidence
         self._exact_config = dict(
-            workers=workers,
-            persist=persist,
-            cache_dir=cache_dir,
-            block_size=block_size,
-            cross_cache_size=cross_cache_size,
+            workers=workers, persist=persist, cache_dir=cache_dir
         )
         sample = get_sample(
             relation, self.sample_rows, seed=self.sample_seed, method=sample_method

@@ -133,19 +133,6 @@ class ChunkedGroupCounter:
     # Introspection (GroupCounter-compatible)
     # ------------------------------------------------------------------ #
 
-    def predicted_kernel(self, idx: Tuple[int, ...]) -> str:
-        """Which streamed lane :meth:`counts` would pick for ``idx``."""
-        if self.backend.supports_count_pushdown:
-            return "pushdown"
-        bound = 1
-        for j in idx:
-            bound *= max(self.radix[j], 1)
-        if 0 <= bound <= min(self.limit, dispatch.CHUNK_TABLE_CAP):
-            return "chunked_bincount"
-        if bound <= 2**62:
-            return "chunked_merge"
-        return "chunked_wide"
-
     def reset_stats(self) -> None:
         for k in _STAT_KEYS:
             self.stats[k] = 0

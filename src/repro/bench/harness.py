@@ -841,35 +841,29 @@ def kernel_benchmark(
     determinism: float = 0.95,
     gate_margin: float = 1.10,
 ) -> Dict[str, object]:
-    """Counts-first kernel throughput vs the legacy partition path.
+    """Counts-first kernel throughput, gated against the legacy sort kernel.
 
-    Two arms per row count, on the same markov-tree surrogate the approx
-    scale bench uses (so the numbers compose with BENCH_scale.json):
+    Per row count, on the same markov-tree surrogate the approx scale
+    bench uses (so the numbers compose with BENCH_scale.json):
 
-    * **mining arm** — a full exact ``engine="pli"`` mine with the kernel
-      fast path (the dispatcher decides per query) vs the same mine with
-      ``counts_fast_path=False`` (the pre-kernel partition-product path).
-      Mined MVDs and minimal separators must be identical (``parity``).
-    * **micro arm** — every non-empty attribute subset evaluated once per
-      kernel on a fresh dispatcher: the dispatched path, the forced
-      legacy sort (pairwise int64 compose + ``np.unique``), and — when
-      numba is importable — the forced hash kernel.  Entropies must be
-      bit-identical across kernels; per-kernel throughput is
-      ``rows * subsets / elapsed``.
+    * **micro arm** — every non-empty attribute subset evaluated once on
+      a fresh dispatcher and once through the forced legacy sort
+      (pairwise int64 compose + ``np.unique``).  Entropies must be
+      bit-identical; per-arm throughput is ``rows * subsets / elapsed``.
+    * **mining arm** — a full exact ``engine="pli"`` mine, reporting its
+      time and the kernel dispatch counters it accrued.
 
     The **regression gate** fails (``gate.passed = False``, and the bench
     CLI exits non-zero) if the dispatched micro arm is slower than the
-    forced legacy sort beyond ``gate_margin`` on any size, or if any arm
-    disagrees — i.e. if dispatch ever picks a kernel that loses to the
-    path it replaced on the reference workload.
+    forced legacy sort beyond ``gate_margin`` on any size, or if the two
+    arms' entropies disagree — i.e. if dispatch ever picks a kernel that
+    loses to the path it replaced on the reference workload.
     """
     import itertools
 
     from repro import kernels as kern
     from repro.core.maimon import Maimon
     from repro.data.generators import markov_tree
-    from repro.entropy.oracle import EntropyOracle
-    from repro.entropy.plicache import PLICacheEngine
 
     runs: List[Dict[str, object]] = []
     gate_failures: List[str] = []
@@ -885,9 +879,9 @@ def kernel_benchmark(
             for idx in itertools.combinations(range(n_cols), size)
         ]
 
-        # Micro arm: dispatched vs forced-legacy (vs forced-hash) evals.
-        # One throwaway eval first: lazy imports and first-touch ufunc
-        # setup would otherwise be billed to whichever arm runs first.
+        # Micro arm: dispatched vs forced-legacy evals.  One throwaway
+        # eval first: lazy imports and first-touch ufunc setup would
+        # otherwise be billed to whichever arm runs first.
         kern.GroupCounter(relation.codes, relation.radix).entropy(subsets[-1])
         dispatched = kern.GroupCounter(relation.codes, relation.radix)
         t0 = time.perf_counter()
@@ -905,25 +899,6 @@ def kernel_benchmark(
             h_legacy.append(kern.entropy_from_counts(counts, n))
         legacy_s = time.perf_counter() - t0
 
-        hash_s = None
-        if kern.HAVE_NUMBA:  # pragma: no cover - CI numba leg only
-            from repro.kernels import native as kern_native
-
-            hasher = kern.GroupCounter(
-                relation.codes, relation.radix, prefix_budget=0
-            )
-            kern_native.hash_key_counts(np.arange(4, dtype=np.int64))  # jit warm-up
-            t0 = time.perf_counter()
-            h_hash = []
-            for idx in subsets:
-                keys, _ = hasher.compose_keys(idx)
-                counts = kern_native.hash_key_counts(
-                    np.ascontiguousarray(keys, dtype=np.int64)
-                )[1]
-                h_hash.append(kern.entropy_from_counts(counts, n))
-            hash_s = time.perf_counter() - t0
-            if h_hash != h_legacy:
-                gate_failures.append(f"rows={n}: hash kernel entropies disagree")
         if h_dispatch != h_legacy:
             gate_failures.append(f"rows={n}: dispatched entropies disagree")
         # +50ms absolute slack so sub-second smoke runs never flake on
@@ -934,34 +909,17 @@ def kernel_benchmark(
                 f"legacy sort {legacy_s:.3f}s (margin {gate_margin:g})"
             )
 
-        # Mining arm: full exact mine, fast path vs partition path.
+        # Mining arm: full exact mine, counts-first.
         t0 = time.perf_counter()
-        fast = Maimon(relation)
-        fast_result = fast.mine_mvds(eps)
-        fast_s = time.perf_counter() - t0
+        maimon = Maimon(relation)
+        result = maimon.mine_mvds(eps)
+        mine_s = time.perf_counter() - t0
         kernel_counters = {
             k[len("kernel."):]: v
-            for k, v in fast.counters().items()
+            for k, v in maimon.counters().items()
             if k.startswith("kernel.")
         }
-        fast.close()
-
-        t0 = time.perf_counter()
-        legacy_maimon = Maimon(
-            relation,
-            oracle=EntropyOracle(
-                relation, PLICacheEngine(relation, counts_fast_path=False)
-            ),
-        )
-        legacy_result = legacy_maimon.mine_mvds(eps)
-        legacy_mine_s = time.perf_counter() - t0
-        legacy_maimon.close()
-
-        parity = sorted(fast_result.mvds) == sorted(legacy_result.mvds) and {
-            p: sorted(v) for p, v in fast_result.min_seps.items()
-        } == {p: sorted(v) for p, v in legacy_result.min_seps.items()}
-        if not parity:
-            gate_failures.append(f"rows={n}: mined outputs differ between paths")
+        maimon.close()
 
         evals = len(subsets)
         runs.append(
@@ -971,36 +929,24 @@ def kernel_benchmark(
                 "subsets": evals,
                 "dispatch_evals_s": round(dispatch_s, 3),
                 "legacy_evals_s": round(legacy_s, 3),
-                "hash_evals_s": round(hash_s, 3) if hash_s is not None else None,
                 "dispatch_eval_rows_per_s": (
                     round(n * evals / dispatch_s) if dispatch_s > 0 else None
                 ),
                 "legacy_eval_rows_per_s": (
                     round(n * evals / legacy_s) if legacy_s > 0 else None
                 ),
-                "hash_eval_rows_per_s": (
-                    round(n * evals / hash_s) if hash_s else None
-                ),
                 "eval_speedup": (
                     round(legacy_s / dispatch_s, 2) if dispatch_s > 0 else None
                 ),
-                "mine_fast_s": round(fast_s, 3),
-                "mine_legacy_s": round(legacy_mine_s, 3),
-                "mine_speedup": (
-                    round(legacy_mine_s / fast_s, 2) if fast_s > 0 else None
-                ),
-                "exact_rows_per_s": round(n / fast_s) if fast_s > 0 else None,
-                "legacy_exact_rows_per_s": (
-                    round(n / legacy_mine_s) if legacy_mine_s > 0 else None
-                ),
-                "parity": parity,
+                "mine_s": round(mine_s, 3),
+                "exact_rows_per_s": round(n / mine_s) if mine_s > 0 else None,
+                "mvds": len(result.mvds),
                 "kernels": kernel_counters,
             }
         )
     return {
         "bench": "kernel_scale",
         "eps": eps,
-        "numba": kern.HAVE_NUMBA,
         "generator": {
             "kind": "markov_tree",
             "seed": seed,
@@ -1016,12 +962,11 @@ def kernel_benchmark(
             "failures": gate_failures,
         },
         "note": (
-            "micro arm = every non-empty attribute subset evaluated once per "
-            "kernel (dispatched vs forced legacy np.unique sort vs forced "
-            "hash when numba is present), entropies bit-identical; mining "
-            "arm = full exact engine='pli' mine with the counts-first fast "
-            "path vs counts_fast_path=False, identical mvds/min_seps; the "
-            "gate fails when dispatch loses to legacy beyond the margin"
+            "micro arm = every non-empty attribute subset evaluated once "
+            "per arm (dispatched kernels vs forced legacy np.unique sort), "
+            "entropies bit-identical; mining arm = full exact engine='pli' "
+            "mine, counts-first; the gate fails when dispatch loses to "
+            "legacy beyond the margin"
         ),
     }
 

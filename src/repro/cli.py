@@ -16,13 +16,13 @@ Commands
                 (``BENCH_delta.json``, see :mod:`repro.delta`);
 ``approx-bench`` approx (sampled + escalation) vs exact mining at scale
                 (``BENCH_scale.json``, see :mod:`repro.approx`);
-``kernel-bench`` counts-first kernel dispatch vs the legacy partition path,
+``kernel-bench`` counts-first kernel dispatch vs the legacy sort kernel,
                 with a parity + no-regression gate (merged into
                 ``BENCH_scale.json``, see :mod:`repro.kernels`);
 ``datasets``    list the built-in dataset surrogates (Table 2 registry);
 ``check``       run the repo's static analyzer (:mod:`repro.analysis`) —
-                numba dtype discipline, serve lock discipline, hot-path
-                set churn, spec/registry drift, strict request parsing.
+                serve lock discipline, hot-path set churn, spec/registry
+                drift, strict request parsing.
 
 All data commands take ``--workers N`` (parallel entropy evaluation over a
 process pool), ``--no-persist`` (disable the on-disk entropy cache) and
@@ -60,6 +60,24 @@ from repro import io as repro_io
 from repro.bench.harness import Table
 from repro.core.ranking import OBJECTIVES
 from repro.data import datasets
+from repro.entropy.estimators import ESTIMATORS
+
+
+class UsageError(SystemExit):
+    """A request the CLI rejects before running anything.
+
+    Exits with status 2, argparse's usage-error status, so a bad flag and
+    a bad ``--config`` file fail the same way; :func:`main` prints the
+    message to stderr.  ``str()`` is the message, so in-process callers
+    can match on it.
+    """
+
+    def __init__(self, message: str) -> None:
+        super().__init__(2)
+        self.message = message
+
+    def __str__(self) -> str:
+        return self.message
 
 
 def _default(value, fallback):
@@ -121,30 +139,31 @@ def _flags_given(args) -> List[str]:
 def _compile_request(task: str, args, spec) -> api.TaskRequest:
     """Argparse namespace -> TaskRequest (or load one from ``--config``).
 
-    Spec validation errors become clean ``SystemExit`` messages instead
-    of tracebacks — they are usage errors, not crashes.  ``--config``
-    *replaces* the request: combining it with request-shaping flags is
-    an error, not a silent override in either direction.
+    Spec validation errors become clean :class:`UsageError` exits
+    instead of tracebacks — they are usage errors, not crashes.
+    ``--config`` *replaces* the request: combining it with
+    request-shaping flags is an error, not a silent override in either
+    direction.
     """
     try:
         if getattr(args, "config", None):
             conflicting = _flags_given(args)
             if conflicting:
-                raise SystemExit(
+                raise UsageError(
                     "--config replaces the data/engine/task flags; remove: "
                     + ", ".join(conflicting)
                 )
             try:
                 data = repro_io.load_json(args.config)
             except OSError as exc:
-                raise SystemExit(f"cannot read --config: {exc}") from None
+                raise UsageError(f"cannot read --config: {exc}") from None
             except ValueError as exc:
-                raise SystemExit(
+                raise UsageError(
                     f"--config {args.config} is not valid JSON: {exc}"
                 ) from None
             request = api.TaskRequest.from_dict(data)
             if request.task != task:
-                raise SystemExit(
+                raise UsageError(
                     f"{args.config} is a {request.task!r} request; "
                     f"run 'repro {request.task} --config {args.config}'"
                 )
@@ -153,7 +172,7 @@ def _compile_request(task: str, args, spec) -> api.TaskRequest:
             task=task, spec=spec, engine=_engine_spec(args), data=_data_spec(args)
         ).validate()
     except api.SpecError as exc:
-        raise SystemExit(f"invalid request: {exc}") from None
+        raise UsageError(f"invalid request: {exc}") from None
 
 
 def _maybe_dump_config(args, request: api.TaskRequest) -> bool:
@@ -172,7 +191,7 @@ def _maybe_dump_config(args, request: api.TaskRequest) -> bool:
 def _run(request: api.TaskRequest):
     """Resolve the data spec, announce the input, execute the request."""
     if request.data is None:
-        raise SystemExit(
+        raise UsageError(
             "invalid request: the config carries no 'data' spec; add one "
             "(a 'csv' path or a built-in 'dataset' name)"
         )
@@ -181,7 +200,7 @@ def _run(request: api.TaskRequest):
     except api.SpecError as exc:
         # Load-time spec failures (missing store directory, duckdb not
         # installed) are usage errors, same as validation failures.
-        raise SystemExit(f"invalid request: {exc}") from None
+        raise UsageError(f"invalid request: {exc}") from None
     print(f"{relation.name or 'input'}: {relation.n_rows} rows x {relation.n_cols} cols")
     return relation, api.run(request, relation=relation)
 
@@ -302,7 +321,7 @@ def cmd_serve(args) -> int:
     try:
         defaults = _engine_spec(args).validate()
     except api.SpecError as exc:
-        raise SystemExit(f"invalid request: {exc}") from None
+        raise UsageError(f"invalid request: {exc}") from None
     service = MiningService(
         max_sessions=args.max_sessions,
         job_workers=args.job_workers,
@@ -349,7 +368,7 @@ def cmd_diff(args) -> int:
     try:
         spec = api.DiffSpec(top=_default(args.top, 20)).validate()
     except api.SpecError as exc:
-        raise SystemExit(f"invalid request: {exc}") from None
+        raise UsageError(f"invalid request: {exc}") from None
     old = repro_io.load_json(args.old)
     new = repro_io.load_json(args.new)
     diff = diff_payloads(old, new, tol=spec.tol)
@@ -459,7 +478,7 @@ def cmd_approx_bench(args) -> int:
 
 
 def cmd_kernel_bench(args) -> int:
-    """Counts-first kernel vs legacy partition bench; merges BENCH_scale.json."""
+    """Counts-first kernel vs legacy sort bench; merges BENCH_scale.json."""
     import json as _json
     import os as _os
 
@@ -472,11 +491,9 @@ def cmd_kernel_bench(args) -> int:
         seed=args.seed,
     )
     table = Table(
-        f"Kernel dispatch vs legacy partitions (markov_tree, eps={args.eps}, "
-        f"numba={'on' if payload['numba'] else 'off'})",
+        f"Kernel dispatch vs legacy sort (markov_tree, eps={args.eps})",
         ["rows", "dispatch_evals_s", "legacy_evals_s", "eval_speedup",
-         "mine_fast_s", "mine_legacy_s", "mine_speedup", "exact_rows_per_s",
-         "parity"],
+         "mine_s", "exact_rows_per_s", "mvds"],
     )
     for r in payload["runs"]:
         table.add(r)
@@ -492,7 +509,7 @@ def cmd_kernel_bench(args) -> int:
     else:
         path = write_bench_json(payload, args.json)
     print(f"wrote {path}")
-    # Gate: mined outputs must be identical across paths and the dispatcher
+    # Gate: entropies must be identical across arms and the dispatcher
     # must never lose to the legacy sort kernel on the reference workload.
     for failure in payload["gate"]["failures"]:
         print(f"KERNEL GATE FAILURE: {failure}")
@@ -759,17 +776,13 @@ def _config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _engine_arg(p: argparse.ArgumentParser) -> None:
-    # All make_oracle engines, including the Section 6.3 SQL arm and the
-    # sampled approx arm (repro.approx).
+    # Choices come from the registries, so --help cannot drift from them.
     # Request flags default to None ("not given") so --config can reject
     # explicitly-passed flags; the real defaults live at the compile step.
-    p.add_argument("--engine",
-                   choices=["pli", "naive", "sql", "estimated", "approx"],
-                   default=None, help="entropy engine (default pli)")
-    p.add_argument("--estimator",
-                   choices=["mle", "miller_madow", "jackknife"], default=None,
-                   help="entropy estimator for --engine estimated/approx "
-                        "(default mle)")
+    p.add_argument("--engine", choices=api.ENGINES, default=None,
+                   help="entropy engine (default pli)")
+    p.add_argument("--estimator", choices=list(ESTIMATORS), default=None,
+                   help="entropy estimator for --engine approx (default mle)")
     p.add_argument("--sample-rows", type=int, default=None,
                    help="--engine approx: sample size (default 100000)")
     p.add_argument("--confidence", type=float, default=None,
@@ -896,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "kernel-bench",
-        help="counts-first kernels vs legacy partition path (BENCH_scale.json)",
+        help="counts-first kernels vs legacy sort kernel (BENCH_scale.json)",
     )
     p.add_argument("--rows", type=int, nargs="+", default=[100000, 1000000],
                    help="row counts of the markov_tree surrogates")
@@ -991,7 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="run the repro static analyzer (repro.analysis rules RPR001-005)",
+        help="run the repro static analyzer (repro.analysis rules RPR002-005)",
     )
     p.add_argument("paths", nargs="*",
                    help="files/directories to analyze (default: "
@@ -1016,7 +1029,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        raise
 
 
 if __name__ == "__main__":  # pragma: no cover

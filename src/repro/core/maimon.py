@@ -48,15 +48,14 @@ class DiscoveredSchema:
 class Maimon:
     """End-to-end discovery of approximate acyclic schemas.
 
-    The engine-shaped keyword arguments (``engine``, ``block_size``,
-    ``workers``, ``persist``, ``cache_dir``, ``track_deltas``) are a thin
-    shim over :class:`repro.api.specs.EngineSpec` — the system-wide
-    declarative engine contract shared by the CLI, the HTTP serving layer
-    and config files.  Passing ``spec=EngineSpec(...)`` directly is
-    equivalent and preferred for new code; either way the spec is
-    validated in one place (e.g. ``workers > 1`` with a non-PLI engine is
-    rejected instead of silently running PLI workers) and recorded as
-    ``self.spec``.
+    The engine-shaped keyword arguments (``engine``, ``workers``,
+    ``persist``, ``cache_dir``, ``track_deltas``) are a thin shim over
+    :class:`repro.api.specs.EngineSpec` — the system-wide declarative
+    engine contract shared by the CLI, the HTTP serving layer and config
+    files.  Passing ``spec=EngineSpec(...)`` directly is equivalent and
+    preferred for new code; either way the spec is validated in one place
+    (e.g. an unknown engine or ``cache_dir`` without ``persist`` is
+    rejected with a field-naming error) and recorded as ``self.spec``.
 
     Parameters
     ----------
@@ -67,15 +66,14 @@ class Maimon:
     spec:
         An :class:`~repro.api.specs.EngineSpec`; overrides the individual
         engine keyword arguments below when given.
-    engine, block_size, workers, persist, cache_dir, track_deltas:
+    engine, workers, persist, cache_dir, track_deltas:
         See :class:`~repro.api.specs.EngineSpec` for meanings, defaults
         and the validation rules.
     oracle:
         A pre-built :class:`~repro.entropy.oracle.EntropyOracle` to mine
-        with, bypassing ``spec.make_oracle``.  For callers that need
-        engine knobs the spec does not model — e.g. a
-        :class:`~repro.entropy.plicache.PLICacheEngine` with
-        ``counts_fast_path=False`` for kernel-parity runs.  The spec (or
+        with, bypassing ``spec.make_oracle`` — for engines the spec does
+        not model, e.g. the Section 6.3 SQL reference engine or a
+        brute-force counting engine in differential tests.  The spec (or
         the engine keywords) is still validated and recorded, so sessions
         report a coherent configuration.
 
@@ -92,7 +90,6 @@ class Maimon:
         relation: Relation,
         engine: str = "pli",
         optimized: bool = True,
-        block_size: int = 10,
         workers: int = 1,
         persist: bool = False,
         cache_dir=None,
@@ -106,7 +103,6 @@ class Maimon:
         if spec is None:
             spec = EngineSpec(
                 engine=engine,
-                block_size=block_size,
                 workers=workers,
                 persist=persist,
                 cache_dir=cache_dir,

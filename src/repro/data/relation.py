@@ -344,9 +344,9 @@ class Relation:
         A lazily built :class:`repro.kernels.GroupCounter` over the code
         matrix and radix bounds.  It answers counts/ids/entropy queries by
         composing mixed-radix keys with smallest-sufficient dtypes and
-        dispatching to a bincount, hash (optional numba) or sort kernel —
-        all bit-identical; see :mod:`repro.kernels.dispatch` for the
-        selection rules.  Shared by :meth:`group_ids`,
+        dispatching to a bincount or sort kernel — both bit-identical;
+        see :mod:`repro.kernels.dispatch` for the selection rules.
+        Shared by :meth:`group_ids`,
         :meth:`group_sizes`, :meth:`distinct_count` and the entropy
         engines, so its ``stats`` counters aggregate every grouping this
         relation served.

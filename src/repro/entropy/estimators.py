@@ -22,10 +22,9 @@ measured and mitigated:
 
 :class:`EstimatedEntropyEngine` exposes any of them through the modern
 engine interface (mask-keyed memo, batch evaluation, ``advance`` /
-``reset_stats``), so an oracle (and thus the whole miner) can run on
-bias-corrected entropies — reachable as ``EngineSpec(engine="estimated",
-estimator=...)`` — and the approximate subsystem (:mod:`repro.approx`) can
-run it over a row sample as its estimate tier.
+``reset_stats``); the approximate subsystem (:mod:`repro.approx`) runs it
+over a row sample as its estimate tier, reachable as
+``EngineSpec(engine="approx", estimator=...)``.
 """
 
 from __future__ import annotations
@@ -129,12 +128,11 @@ def sample_moments(counts: np.ndarray, n: int, estimator: str = "mle") -> Entrop
 class EstimatedEntropyEngine:
     """Entropy engine applying a bias-corrected estimator per query.
 
-    Groups rows like the naive engine but feeds the full count vector
-    (singletons included — the corrections need the observed support size)
-    to the chosen estimator.  Implements the modern engine interface
-    (mask-keyed memo, :meth:`entropies_of` batch, ``advance`` /
-    ``reset_stats``), so it is a first-class ``make_oracle`` arm
-    (``engine="estimated"``) and the sampled estimate tier of
+    Groups rows through the relation's counting kernels but feeds the full
+    count vector (singletons included — the corrections need the observed
+    support size) to the chosen estimator.  Implements the modern engine
+    interface (mask-keyed memo, :meth:`entropies_of` batch, ``advance`` /
+    ``reset_stats``) as the sampled estimate tier of
     :class:`repro.approx.engine.ApproxEntropyEngine`.
 
     The mining theory (Shannon inequalities) holds exactly only for the

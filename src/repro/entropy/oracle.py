@@ -1,6 +1,7 @@
 """The ``getEntropyR`` oracle used by all mining algorithms.
 
-Wraps an entropy *engine* (naive or PLI-cache) and exposes the derived
+Wraps an entropy *engine* (by default the exact counts-first
+:class:`~repro.entropy.plicache.PLICacheEngine`) and exposes the derived
 information measures the paper needs:
 
 * ``H(X)`` — joint entropy of an attribute set (Eq. 5);
@@ -35,7 +36,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.common import TOL
 from repro.data.relation import Relation
-from repro.entropy.naive import NaiveEntropyEngine
 from repro.entropy.plicache import PLICacheEngine
 from repro.lattice import AttrSet, attrset, mask_of
 
@@ -301,7 +301,7 @@ class EntropyOracle:
         """Dispatch counters of the counts-first kernel layer, if any.
 
         Engines that route entropies through :mod:`repro.kernels`
-        (PLI fast path, naive, the approx exact tier) expose the
+        (the exact engine, the approx sample tier) expose the
         relation's :class:`~repro.kernels.GroupCounter` counters —
         which kernel answered how many queries, densifications, prefix
         cache hits.  Engines that never touch the kernel layer yield
@@ -335,8 +335,6 @@ class EntropyOracle:
 def make_oracle(
     relation: Relation,
     engine: str = "pli",
-    block_size: int = 10,
-    cross_cache_size: int = 4096,
     workers: int = 1,
     persist: bool = False,
     cache_dir=None,
@@ -347,20 +345,17 @@ def make_oracle(
 ) -> EntropyOracle:
     """Construct an oracle with a named engine.
 
-    ``"pli"`` (default) — numpy stripped partitions with the block cache;
-    ``"naive"`` — fresh group-by per query;
-    ``"sql"`` — the Section 6.3 CNT/TID queries on the mini SQL engine
-    (row-store speeds; fidelity/ablation arm);
-    ``"estimated"`` — bias-corrected estimators on the full relation
-    (:mod:`repro.entropy.estimators`; diagnostics arm);
+    ``"pli"`` (default) — exact entropies, counts-first through the
+    relation's grouping kernels (:class:`~repro.entropy.plicache.
+    PLICacheEngine`);
     ``"approx"`` — sampled estimates with confidence intervals and exact
     escalation at decision boundaries (:mod:`repro.approx`).
 
     The keyword arguments are a shim over
-    :class:`repro.api.specs.EngineSpec` (minus ``cross_cache_size``, an
-    expert tuning knob): the spec is where engine/knob combinations are
-    validated system-wide, so e.g. ``workers > 1`` with a non-PLI engine
-    raises here with the same message the CLI and the serving layer give.
+    :class:`repro.api.specs.EngineSpec`: the spec is where engine/knob
+    combinations are validated system-wide, so e.g. ``sample_rows`` with
+    ``engine="pli"`` raises here with the same message the CLI and the
+    serving layer give.
 
     Parameters
     ----------
@@ -377,7 +372,7 @@ def make_oracle(
         applies to the exact escalation tier (sampled estimates are cheap
         and never cached on disk).
     estimator:
-        Estimator name for the ``estimated`` / ``approx`` arms (see
+        Estimator centring the ``approx`` intervals (see
         :data:`repro.entropy.estimators.ESTIMATORS`).
     sample_rows, confidence, sample_seed:
         ``approx``-only knobs: sample size, decision confidence level and
@@ -389,7 +384,6 @@ def make_oracle(
 
     EngineSpec(
         engine=engine,
-        block_size=block_size,
         workers=workers,
         persist=persist,
         cache_dir=cache_dir,
@@ -409,29 +403,11 @@ def make_oracle(
             confidence=confidence,
             estimator=estimator,
             sample_seed=sample_seed,
-            block_size=block_size,
-            cross_cache_size=cross_cache_size,
             workers=workers,
             persist=persist,
             cache_dir=cache_dir,
         )
-    if engine == "pli":
-        eng = PLICacheEngine(relation, block_size=block_size, cross_cache_size=cross_cache_size)
-    elif engine == "naive":
-        eng = NaiveEntropyEngine(relation)
-    elif engine == "sql":
-        from repro.entropy.sqlengine import SQLEntropyEngine
-
-        eng = SQLEntropyEngine(relation, block_size=block_size)
-    elif engine == "estimated":
-        from repro.entropy.estimators import EstimatedEntropyEngine
-
-        eng = EstimatedEntropyEngine(relation, estimator=estimator)
-    else:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'pli', 'naive', 'sql', "
-            f"'estimated' or 'approx'"
-        )
+    eng = PLICacheEngine(relation)
     if workers > 1 or persist:
         # Imported lazily: repro.exec builds on this module.
         from repro.exec.batch import BatchEntropyOracle
@@ -442,7 +418,5 @@ def make_oracle(
             workers=workers,
             persist=persist,
             cache_dir=cache_dir,
-            block_size=block_size,
-            cross_cache_size=cross_cache_size,
         )
     return EntropyOracle(relation, eng)

@@ -13,17 +13,16 @@ followed by a ``GROUP BY`` with ``HAVING count(*) > 1``.
 That pair of tables is precisely a *stripped partition* (also called a
 stripped Position List Index, PLI) as used by TANE and Pyro: the partition of
 tuple ids induced by "agree on alpha", with all singleton equivalence classes
-removed.  The SQL join is the classic partition product.  We implement both
-directly on numpy arrays:
-
-* a partition is stored as a flat ``tids`` array plus cluster ``offsets``
-  (CSR-style), keeping only clusters of size >= 2;
-* the product uses a probe array of length ``N`` (exactly the role of the
-  hash join in the paper, without the SQL engine).
+removed.  A partition is stored as a flat ``tids`` array plus cluster
+``offsets`` (CSR-style), keeping only clusters of size >= 2.
 
 Entropy falls out of the counts alone (Eq. 5): singleton clusters contribute
 ``0`` because ``1 * log(1) = 0``, which is why stripping is lossless for
-entropy computation — the observation the paper's technique rests on.
+entropy computation — the observation the paper's technique rests on.  The
+exact entropy engine therefore never builds partitions
+(:mod:`repro.entropy.plicache` counts straight from the code matrix); the
+delta tracker (:mod:`repro.delta.tracker`) uses them, and the paper's SQL
+join over them is rendered literally by :mod:`repro.entropy.sqlengine`.
 """
 
 from __future__ import annotations
@@ -182,43 +181,8 @@ class StrippedPartition:
         return float(sizes.sum() - len(sizes)) / n
 
     # ------------------------------------------------------------------ #
-    # Partition product (the paper's main-memory SQL join)
+    # FD refinement
     # ------------------------------------------------------------------ #
-
-    def intersect(self, other: "StrippedPartition") -> "StrippedPartition":
-        """Product partition ``self * other`` (agree on alpha AND beta).
-
-        Implements exactly the paper's two queries of Section 6.3: join the
-        TID tables on tuple id, group by the combined value, keep groups with
-        count > 1.  Cost is ``O(N + |self| + |other|)``.
-        """
-        if self.n_rows != other.n_rows:
-            raise ValueError("partitions over different relations")
-        n = self.n_rows
-        if self.n_clusters == 0 or other.n_clusters == 0:
-            return StrippedPartition(
-                np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), n
-            )
-        # probe[t] = cluster index of t in self, or -1 if t is a singleton.
-        probe = np.full(n, -1, dtype=np.int64)
-        sizes = np.diff(self.offsets)
-        probe[self.tids] = np.repeat(np.arange(self.n_clusters, dtype=np.int64), sizes)
-        # For every tid in other, the pair (self cluster, other cluster).
-        other_sizes = np.diff(other.offsets)
-        other_cids = np.repeat(np.arange(other.n_clusters, dtype=np.int64), other_sizes)
-        self_cids = probe[other.tids]
-        mask = self_cids >= 0
-        tids = other.tids[mask]
-        keys = self_cids[mask] * other.n_clusters + other_cids[mask]
-        if len(tids) == 0:
-            return StrippedPartition(
-                np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), n
-            )
-        uniq, dense = np.unique(keys, return_inverse=True)
-        part = StrippedPartition.from_group_ids(dense, len(uniq), n)
-        # from_group_ids indexes into the *positions* of `tids`; remap.
-        part.tids = tids[part.tids]
-        return part
 
     def refines_group_ids(self, target_ids: np.ndarray) -> bool:
         """Does every cluster map into a single group of ``target_ids``?
@@ -413,19 +377,3 @@ class EvolvingPartition:
             f"<EvolvingPartition attrs={list(self.idx)} groups={self.n_groups} "
             f"N={self.n_rows} H={self.entropy():.4f}>"
         )
-
-
-def partition_product(parts: Iterable[StrippedPartition]) -> StrippedPartition:
-    """Fold :meth:`StrippedPartition.intersect` over several partitions.
-
-    Combines smallest-first (by stored size), which keeps intermediate
-    results small — the same heuristic the paper gets for free from the
-    HAVING clause pruning.
-    """
-    items = sorted(parts, key=lambda p: p.size)
-    if not items:
-        raise ValueError("need at least one partition")
-    acc = items[0]
-    for p in items[1:]:
-        acc = acc.intersect(p)
-    return acc

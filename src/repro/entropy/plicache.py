@@ -1,147 +1,64 @@
-"""PLI-cache entropy engine with the paper's block scheme (Section 6.3).
+"""The exact entropy engine: counts-first ``H(X)`` with a mask-keyed memo.
 
 The paper avoids re-scanning the data for every ``H(X_alpha)`` by
-maintaining CNT/TID tables (stripped partitions, see
-:mod:`repro.entropy.partitions`) and combining them with main-memory joins.
-Because materialising all ``2^n - 1`` tables is intractable, it fixes a
-parameter ``L`` (10 in their implementation), partitions the attribute set
-``Omega`` into ``ceil(n/L)`` disjoint blocks ``Omega_1, Omega_2, ...`` and
-keeps tables only for subsets that live inside a single block; an arbitrary
-``alpha`` is then assembled as
-``alpha = (alpha ∩ Omega_1) ∪ (alpha ∩ Omega_2) ∪ ...`` with one product per
-block piece.
+maintaining CNT/TID tables and combining them with main-memory joins
+(Section 6.3; the literal rendering lives in
+:mod:`repro.entropy.sqlengine`).  Entropy needs only group *counts*, never
+tuple ids, so this engine skips the tables altogether: every ``H(X)`` is
+answered by the relation's counting kernels (:mod:`repro.kernels` for an
+in-memory relation, the chunk-streaming lanes of :mod:`repro.backends`
+for a store), which compose mixed-radix keys and count them.  The
+kernels' composed-prefix cache plays the role the paper's block tables
+played: lattice-adjacent queries reuse the key columns of their
+predecessors.
 
-This engine mirrors that design with two refinements that keep memory
-bounded without changing results:
-
-* within-block subsets are materialised *lazily* (first use) instead of
-  eagerly, and then kept forever — at most ``2^L`` per block, exactly the
-  paper's budget;
-* cross-block combinations go into a bounded LRU cache, and the running
-  unions built while assembling ``alpha`` are cached too, so lattice-shaped
-  query workloads (which the miners produce) hit the cache heavily.
-
-The hot entropy memo is keyed by the :class:`~repro.lattice.AttrSet`
-bitmask of the attribute set (a plain int); splitting ``alpha`` by block is
-one AND per block mask, and the within-block recursion peels bits off the
-mask.  The partition caches themselves key on ``AttrSet`` objects — they
-are probed only on memo misses, and ``AttrSet`` keys stay interchangeable
-with the frozensets external introspection (and the LRU-boundary tests)
-use.
+The entropy memo is keyed by the :class:`~repro.lattice.AttrSet`
+bitmask of the attribute set (a plain int), so a repeat query costs one
+dict probe and always returns the identical float.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.data.relation import Relation
-from repro.entropy.partitions import StrippedPartition
 from repro.lattice import AttrSet, bits_of, mask_of
-from repro.obs.trace import span
 
 
 class PLICacheEngine:
-    """Entropy engine backed by cached stripped partitions.
+    """Exact entropy engine over one relation's counting kernels."""
 
-    Parameters
-    ----------
-    relation:
-        The input relation R.
-    block_size:
-        The paper's ``L`` (default 10): attributes are split into blocks of
-        at most this size; all subsets of one block may be cached.
-    cross_cache_size:
-        Capacity of the LRU cache for partitions spanning several blocks.
-    counts_fast_path:
-        When True (default), :meth:`entropy_of` answers pure-entropy
-        queries counts-first through the relation's kernel dispatcher
-        (:mod:`repro.kernels`) without materialising any partition; PLIs
-        are still built — lazily, as before — on the refinement paths
-        that genuinely need tuple ids (:meth:`partition_of` and the
-        products it feeds).  Set False to force every entropy through
-        the partition-product path (the pre-kernel behaviour, kept for
-        parity tests and products/cache-hit instrumentation).
-    """
-
-    def __init__(
-        self,
-        relation: Relation,
-        block_size: int = 10,
-        cross_cache_size: int = 4096,
-        counts_fast_path: bool = True,
-    ):
-        if block_size < 1:
-            raise ValueError("block_size must be >= 1")
+    def __init__(self, relation: Relation):
         self.relation = relation
-        self.block_size = block_size
-        n = relation.n_cols
-        # Bitmask of each block Omega_b (consecutive index ranges).
-        self.block_masks: List[int] = [
-            ((1 << min(start + block_size, n)) - 1) & ~((1 << start) - 1)
-            for start in range(0, n, block_size)
-        ]
-        # Permanent cache: subsets contained in a single block.
-        self._block_cache: Dict[AttrSet, StrippedPartition] = {}
-        # Bounded LRU cache: subsets spanning blocks.
-        self._cross_cache: "OrderedDict[AttrSet, StrippedPartition]" = OrderedDict()
-        self._cross_cache_size = cross_cache_size
         self._entropy_memo: Dict[int, float] = {}
-        self.counts_fast_path = counts_fast_path
-        # Instrumentation.
-        self.products = 0       # partition products performed
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.fast_entropies = 0  # entropies answered counts-first (no PLI)
+        self.fast_entropies = 0  # entropies evaluated (memo misses)
         # Kernel counters are relation-level and shared across engines;
         # this engine reports deltas against a private baseline.
         self._kernel_baseline = relation.kernels.snapshot()
 
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
-
-    @property
-    def blocks(self) -> List[tuple]:
-        """The attribute blocks as index tuples (introspection helper)."""
-        return [tuple(bits_of(m)) for m in self.block_masks]
-
     def entropy_of(self, attrs) -> float:
         """Entropy in bits of the attribute set ``attrs`` (column indices).
 
-        With :attr:`counts_fast_path` on, the answer comes straight from
-        the dispatched counting kernel (Eq. 5 over group counts) — no
-        stripped partition, no product chain.  The memo keeps whichever
-        value was computed first, so within one engine instance every
-        repeat query returns the identical float.
+        The answer comes straight from the dispatched counting kernel
+        (Eq. 5 over group counts).  The memo keeps the first value
+        computed, so within one engine instance every repeat query
+        returns the identical float.
         """
         m = attrs.mask if type(attrs) is AttrSet else mask_of(attrs)
         cached = self._entropy_memo.get(m)
         if cached is not None:
             return cached
-        if self.counts_fast_path:
-            if m >> self.relation.n_cols:
-                raise IndexError(
-                    f"attribute index {m.bit_length() - 1} out of range "
-                    f"0..{self.relation.n_cols - 1}"
-                )
-            self.fast_entropies += 1
-            value = self.relation.kernels.entropy(tuple(bits_of(m)))
-        else:
-            value = self._partition_of_mask(m).entropy()
+        if m >> self.relation.n_cols:
+            raise IndexError(
+                f"attribute index {m.bit_length() - 1} out of range "
+                f"0..{self.relation.n_cols - 1}"
+            )
+        self.fast_entropies += 1
+        value = self.relation.kernels.entropy(tuple(bits_of(m)))
         self._entropy_memo[m] = value
         return value
 
-    def partition_of(self, attrs) -> StrippedPartition:
-        """Stripped partition of ``attrs`` (cached)."""
-        return self._partition_of_mask(
-            attrs.mask if type(attrs) is AttrSet else mask_of(attrs)
-        )
-
     def reset_stats(self) -> None:
-        self.products = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.fast_entropies = 0
         self._kernel_baseline = self.relation.kernels.snapshot()
 
@@ -156,12 +73,11 @@ class PLICacheEngine:
         return self.relation.kernels.snapshot_since(self._kernel_baseline)
 
     def advance(self, new_relation: Relation) -> None:
-        """Move to a new version of the relation, invalidating all caches.
+        """Move to a new version of the relation, dropping the memo.
 
-        Stripped partitions are row-count-bound state the engine cannot
-        patch (that is :class:`~repro.delta.tracker.DeltaTracker`'s job);
-        the engine's contract under evolution is simply to never serve a
-        stale partition.  Caches repopulate lazily on the new version.
+        The engine's contract under evolution is simply to never serve a
+        stale entropy (patching memoised values is
+        :class:`~repro.delta.tracker.DeltaTracker`'s job).
         """
         if new_relation.n_cols != self.relation.n_cols:
             raise ValueError(
@@ -169,87 +85,5 @@ class PLICacheEngine:
                 f"({self.relation.n_cols} -> {new_relation.n_cols} columns)"
             )
         self.relation = new_relation
-        self._block_cache.clear()
-        self._cross_cache.clear()
         self._entropy_memo.clear()
         self._kernel_baseline = new_relation.kernels.snapshot()
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-
-    def _partition_of_mask(self, m: int) -> StrippedPartition:
-        if m >> self.relation.n_cols:
-            raise IndexError(
-                f"attribute index {m.bit_length() - 1} out of range "
-                f"0..{self.relation.n_cols - 1}"
-            )
-        if not m:
-            return StrippedPartition.single_cluster(self.relation.n_rows)
-        # Spanned only on memo/cache misses; cache hits never reach here,
-        # so the span count doubles as a PLI-build counter in the tree.
-        with span("pli"):
-            pieces = [m & bm for bm in self.block_masks if m & bm]
-            if len(pieces) == 1:
-                return self._block_partition(pieces[0])
-            hit = self._cross_lookup(m)
-            if hit is not None:
-                return hit
-            # Assemble across blocks, caching running unions so subsequent
-            # queries sharing a prefix of blocks reuse the work.
-            acc_mask = pieces[0]
-            acc = self._block_partition(acc_mask)
-            for piece in pieces[1:]:
-                acc_mask |= piece
-                cached = self._cross_lookup(acc_mask)
-                if cached is not None:
-                    acc = cached
-                    continue
-                acc = self._product(acc, self._block_partition(piece))
-                self._cross_store(acc_mask, acc)
-            return acc
-
-    def _block_partition(self, m: int) -> StrippedPartition:
-        """Partition of a subset living inside one block (permanent cache).
-
-        Built recursively by peeling the top bit: ``P(S) = P(S \\ {max}) *
-        P({max})``, so all sub-subsets along the recursion get cached as
-        well — the lazy equivalent of the paper's "compute the tables for
-        all subsets of each block".
-        """
-        key = AttrSet.from_mask(m)
-        part = self._block_cache.get(key)
-        if part is not None:
-            self.cache_hits += 1
-            return part
-        self.cache_misses += 1
-        top = 1 << (m.bit_length() - 1)
-        rest = m ^ top
-        if not rest:
-            part = StrippedPartition.from_relation(self.relation, bits_of(m))
-        else:
-            part = self._product(
-                self._block_partition(rest), self._block_partition(top)
-            )
-        self._block_cache[key] = part
-        return part
-
-    def _product(self, a: StrippedPartition, b: StrippedPartition) -> StrippedPartition:
-        self.products += 1
-        # Probe with the smaller partition for a cheaper pass.
-        return a.intersect(b) if a.size >= b.size else b.intersect(a)
-
-    def _cross_lookup(self, m: int) -> Optional[StrippedPartition]:
-        key = AttrSet.from_mask(m)
-        part = self._cross_cache.get(key)
-        if part is not None:
-            self._cross_cache.move_to_end(key)
-            self.cache_hits += 1
-        return part
-
-    def _cross_store(self, m: int, part: StrippedPartition) -> None:
-        key = AttrSet.from_mask(m)
-        self._cross_cache[key] = part
-        self._cross_cache.move_to_end(key)
-        while len(self._cross_cache) > self._cross_cache_size:
-            self._cross_cache.popitem(last=False)

@@ -15,16 +15,17 @@ sets with the paper's two queries —
     FROM TID_a A, TID_b B, CNT_{a∪b} Z
     WHERE A.tid = B.tid AND Hash(A.val, B.val) = Z.val
 
-including the block-of-size-L caching scheme.  It produces bit-identical
-entropies to the numpy engines (tested), at row-store speeds — it exists
-for fidelity and as the third arm of the entropy ablation, mirroring the
+including the block-of-size-L caching scheme.  It agrees with the
+counts-first engine (:mod:`repro.entropy.plicache`) to 1e-9 at row-store
+speeds.  It is not a runtime engine choice: it is the fidelity reference
+``tests/test_sqlengine.py`` checks the counts engine against, and the
+comparison arm of ``benchmarks/bench_ablation_entropy.py``, mirroring the
 role H2 plays in the authors' implementation.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from typing import Dict, List, Tuple
 
 from repro.data.relation import Relation
@@ -39,17 +40,13 @@ def _table_suffix(mask: int) -> str:
 class SQLEntropyEngine:
     """CNT/TID-table entropy engine over the mini SQL substrate.
 
-    Parameters mirror :class:`repro.entropy.plicache.PLICacheEngine`:
-    ``block_size`` is the paper's L, ``cross_cache_size`` bounds how many
-    cross-block TID/CNT table pairs stay materialised.
+    ``block_size`` is the paper's L: attributes are split into blocks of
+    at most L, and a set spanning blocks is assembled one block piece at
+    a time.  Every CNT/TID table pair built stays materialised — this is
+    a fidelity reference for small inputs, not a memory-bounded engine.
     """
 
-    def __init__(
-        self,
-        relation: Relation,
-        block_size: int = 10,
-        cross_cache_size: int = 256,
-    ):
+    def __init__(self, relation: Relation, block_size: int = 10):
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         self.relation = relation
@@ -61,9 +58,8 @@ class SQLEntropyEngine:
             ((1 << min(start + block_size, n)) - 1) & ~((1 << start) - 1)
             for start in range(0, n, block_size)
         ]
-        self._block_tables: Dict[int, str] = {}
-        self._cross_tables: "OrderedDict[AttrSet, str]" = OrderedDict()
-        self._cross_cache_size = cross_cache_size
+        #: Table-name suffix of every materialised CNT/TID pair, by mask.
+        self._tables: Dict[int, str] = {}
         self._entropy_memo: Dict[int, float] = {}
         self.queries_run = 0  # combine operations executed
         for j in range(n):
@@ -103,11 +99,7 @@ class SQLEntropyEngine:
         The CNT/TID tables are rebuilt from scratch — the SQL arm exists
         for fidelity, not speed, so it takes the simple exact route.
         """
-        self.__init__(
-            new_relation,
-            block_size=self.block_size,
-            cross_cache_size=self._cross_cache_size,
-        )
+        self.__init__(new_relation, block_size=self.block_size)
 
     # ------------------------------------------------------------------ #
     # Table materialisation
@@ -132,7 +124,7 @@ class SQLEntropyEngine:
                 [(int(v), t) for t, v in enumerate(codes) if int(v) in kept],
             )
         )
-        self._block_tables[1 << j] = suffix
+        self._tables[1 << j] = suffix
 
     def _cnt_name(self, mask: int) -> str:
         return f"CNT_{self._ensure_tables(mask)}"
@@ -148,25 +140,22 @@ class SQLEntropyEngine:
                 f"0..{self.relation.n_cols - 1}"
             )
         pieces = [mask & bm for bm in self.block_masks if mask & bm]
-        if len(pieces) == 1:
-            return self._block_suffix(pieces[0])
+        # Assemble across blocks, keeping every running union so queries
+        # sharing a prefix of blocks reuse its tables.
         acc_mask = pieces[0]
         suffix = self._block_suffix(acc_mask)
         for piece in pieces[1:]:
             acc_mask |= piece
-            acc_key = AttrSet.from_mask(acc_mask)
-            hit = self._cross_tables.get(acc_key)
-            if hit is not None:
-                self._cross_tables.move_to_end(acc_key)
-                suffix = hit
-                continue
-            suffix = self._combine(suffix, self._block_suffix(piece), acc_mask)
-            self._cross_store(acc_key, suffix)
+            if acc_mask not in self._tables:
+                self._tables[acc_mask] = self._combine(
+                    suffix, self._block_suffix(piece), acc_mask
+                )
+            suffix = self._tables[acc_mask]
         return suffix
 
     def _block_suffix(self, mask: int) -> str:
-        """Within-block tables are cached permanently (<= 2^L per block)."""
-        hit = self._block_tables.get(mask)
+        """Tables of a within-block subset (<= 2^L per block)."""
+        hit = self._tables.get(mask)
         if hit is not None:
             return hit
         top = 1 << (mask.bit_length() - 1)
@@ -176,7 +165,7 @@ class SQLEntropyEngine:
             self._block_suffix(top),
             mask,
         )
-        self._block_tables[mask] = suffix
+        self._tables[mask] = suffix
         return suffix
 
     def _combine(self, sfx_a: str, sfx_b: str, mask: int) -> str:
@@ -200,15 +189,3 @@ class SQLEntropyEngine:
         self.db.create_or_replace(cnt)
         self.db.create_or_replace(tid)
         return suffix
-
-    # ------------------------------------------------------------------ #
-    # Caching plumbing
-    # ------------------------------------------------------------------ #
-
-    def _cross_store(self, key: AttrSet, suffix: str) -> None:
-        self._cross_tables[key] = suffix
-        self._cross_tables.move_to_end(key)
-        while len(self._cross_tables) > self._cross_cache_size:
-            __, old = self._cross_tables.popitem(last=False)
-            self.db.drop(f"CNT_{old}")
-            self.db.drop(f"TID_{old}")

@@ -7,9 +7,9 @@ execution service sitting between the mining algorithms and the entropy
 engines:
 
 * :mod:`repro.exec.plan` — request planning: dedupe, lattice-containment
-  ordering (so PLI products are shared), cost-balanced sharding;
+  ordering (so composed key prefixes are shared), cost-balanced sharding;
 * :mod:`repro.exec.pool` — a process-pool evaluator shipping the relation
-  codes once per worker and running worker-local PLI engines;
+  codes once per worker and running worker-local exact engines;
 * :mod:`repro.exec.persist` — an on-disk entropy cache keyed by a relation
   fingerprint, giving repeated CLI/bench runs a warm start;
 * :mod:`repro.exec.batch` — :class:`BatchEntropyOracle`, the drop-in

@@ -56,9 +56,6 @@ class BatchEntropyOracle(EntropyOracle):
     persist:
         Enable the on-disk entropy cache; ``cache_dir`` overrides its
         location (see :mod:`repro.exec.persist`).
-    block_size, cross_cache_size:
-        Engine parameters, forwarded to the default engine, the workers
-        and the persistence fingerprint.
     """
 
     def __init__(
@@ -68,25 +65,19 @@ class BatchEntropyOracle(EntropyOracle):
         workers: int = 1,
         persist: bool = False,
         cache_dir: Optional[str] = None,
-        block_size: int = 10,
-        cross_cache_size: int = 4096,
     ):
         if engine is None:
-            engine = PLICacheEngine(
-                relation, block_size=block_size, cross_cache_size=cross_cache_size
-            )
+            engine = PLICacheEngine(relation)
         super().__init__(relation, engine)
         self.workers = max(1, int(workers))
-        self.block_size = block_size
-        self.cross_cache_size = cross_cache_size
         self._evaluator: Optional[ParallelEvaluator] = None
         self._persist: Optional[PersistentEntropyCache] = None
         if persist:
-            # Fingerprint by the *actual* front-end engine so e.g. naive-
-            # and pli-engine caches never mix (they agree only within TOL).
-            # Engines that carry an estimator (repro.entropy.estimators)
-            # fold it in too — MLE and corrected caches must never mix.
-            params = (type(engine).__name__, block_size, cross_cache_size)
+            # Fingerprint by the *actual* front-end engine so caches of
+            # different engines never mix.  Engines that carry an
+            # estimator (repro.entropy.estimators) fold it in too — MLE
+            # and corrected caches must never mix.
+            params = (type(engine).__name__,)
             if getattr(engine, "estimator", None) is not None:
                 params += (engine.estimator,)
             self._persist = PersistentEntropyCache(
@@ -283,9 +274,6 @@ class BatchEntropyOracle(EntropyOracle):
     def _pool(self) -> ParallelEvaluator:
         if self._evaluator is None:
             self._evaluator = ParallelEvaluator(
-                self.relation,
-                workers=self.workers,
-                block_size=self.block_size,
-                cross_cache_size=self.cross_cache_size,
+                self.relation, workers=self.workers
             )
         return self._evaluator

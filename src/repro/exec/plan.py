@@ -84,9 +84,9 @@ def plan_entropy_requests(requests: Iterable[Iterable[int]]) -> ExecutionPlan:
 def estimated_cost(attrs) -> int:
     """Relative cost proxy for evaluating ``H(attrs)``.
 
-    One partition product per attribute beyond the first, plus a constant
-    for the scan; exact weights do not matter, only that bigger sets load a
-    shard more.
+    One key-composition pass per attribute beyond the first, plus a
+    constant for the count; exact weights do not matter, only that bigger
+    sets load a shard more.
     """
     return 1 + len(attrs)
 

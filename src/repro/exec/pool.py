@@ -1,12 +1,12 @@
 """Parallel entropy evaluation over a process pool.
 
-Python's GIL rules out thread-level parallelism for the numpy-light inner
-loops of the partition product, so the evaluator uses a
-``ProcessPoolExecutor``.  The integer code matrix of the relation is
-shipped **once per worker** through the pool initializer (inherited for
-free under ``fork``, pickled once under ``spawn``); every worker then runs
-its own :class:`~repro.entropy.plicache.PLICacheEngine`, so partitions
-computed for one shard are reused for lattice-adjacent sets of the same
+Python's GIL rules out thread-level parallelism for the numpy-light
+counting loops, so the evaluator uses a ``ProcessPoolExecutor``.  The
+integer code matrix of the relation is shipped **once per worker**
+through the pool initializer (inherited for free under ``fork``, pickled
+once under ``spawn``); every worker then runs its own
+:class:`~repro.entropy.plicache.PLICacheEngine`, so composed key prefixes
+built for one shard are reused for lattice-adjacent sets of the same
 shard (the planner keeps those together, see :mod:`repro.exec.plan`).
 
 With ``workers <= 1`` no pool is created and evaluation runs serially in
@@ -39,27 +39,19 @@ _WORKER_RELATION: Optional[Relation] = None
 _WORKER_ENGINE: Optional[PLICacheEngine] = None
 
 
-def _init_worker(
-    codes: np.ndarray,
-    columns: Tuple[str, ...],
-    block_size: int,
-    cross_cache_size: int,
-) -> None:
-    """Build the worker-local relation and PLI engine (runs in the worker).
+def _init_worker(codes: np.ndarray, columns: Tuple[str, ...]) -> None:
+    """Build the worker-local relation and engine (runs in the worker).
 
-    The engine keeps its default ``counts_fast_path=True``: each worker's
-    entropies run counts-first through the worker-local kernel dispatcher
-    (:mod:`repro.kernels`), and since shards are contiguous slices of the
-    containment-ordered plan, the dispatcher's composed-prefix cache is
-    as effective per worker as it is serially.  Worker-side kernel
-    counters stay in the worker (not aggregated into the parent's
-    ``kernel_stats``).
+    Each worker's entropies run counts-first through the worker-local
+    kernel dispatcher (:mod:`repro.kernels`), and since shards are
+    contiguous slices of the containment-ordered plan, the dispatcher's
+    composed-prefix cache is as effective per worker as it is serially.
+    Worker-side kernel counters stay in the worker (not aggregated into
+    the parent's ``kernel_stats``).
     """
     global _WORKER_RELATION, _WORKER_ENGINE
     _WORKER_RELATION = Relation(np.asarray(codes, dtype=np.int64), columns)
-    _WORKER_ENGINE = PLICacheEngine(
-        _WORKER_RELATION, block_size=block_size, cross_cache_size=cross_cache_size
-    )
+    _WORKER_ENGINE = PLICacheEngine(_WORKER_RELATION)
 
 
 def _entropy_shard(attr_tuples: List[Tuple[int, ...]]) -> List[float]:
@@ -82,7 +74,7 @@ def _pick_start_method() -> str:
 
 
 class ParallelEvaluator:
-    """Evaluates entropy / g3 batches across worker-local PLI engines.
+    """Evaluates entropy / g3 batches across worker-local engines.
 
     Parameters
     ----------
@@ -92,9 +84,6 @@ class ParallelEvaluator:
     workers:
         Number of worker processes.  ``<= 1`` disables the pool entirely
         (serial evaluation on a local engine).
-    block_size, cross_cache_size:
-        Engine parameters forwarded to each worker's
-        :class:`~repro.entropy.plicache.PLICacheEngine`.
 
     The pool is created lazily on first parallel batch and torn down by
     :meth:`close` (also a context manager).  Any pool failure — e.g. an
@@ -102,17 +91,9 @@ class ParallelEvaluator:
     serial path rather than failing the computation.
     """
 
-    def __init__(
-        self,
-        relation: Relation,
-        workers: int = 1,
-        block_size: int = 10,
-        cross_cache_size: int = 4096,
-    ):
+    def __init__(self, relation: Relation, workers: int = 1):
         self.relation = relation
         self.workers = max(1, int(workers))
-        self.block_size = block_size
-        self.cross_cache_size = cross_cache_size
         self._pool: Optional[ProcessPoolExecutor] = None
         self._local_engine: Optional[PLICacheEngine] = None
         self.parallel_batches = 0
@@ -190,11 +171,7 @@ class ParallelEvaluator:
 
     def _engine(self) -> PLICacheEngine:
         if self._local_engine is None:
-            self._local_engine = PLICacheEngine(
-                self.relation,
-                block_size=self.block_size,
-                cross_cache_size=self.cross_cache_size,
-            )
+            self._local_engine = PLICacheEngine(self.relation)
         return self._local_engine
 
     def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
@@ -206,12 +183,7 @@ class ParallelEvaluator:
                 max_workers=self.workers,
                 mp_context=ctx,
                 initializer=_init_worker,
-                initargs=(
-                    self.relation.codes,
-                    self.relation.columns,
-                    self.block_size,
-                    self.cross_cache_size,
-                ),
+                initargs=(self.relation.codes, self.relation.columns),
             )
         return self._pool
 

@@ -12,16 +12,13 @@ bincount  ``O(n + K)``                   key bound ``K`` within
                                          :func:`count.bincount_limit` (kept
                                          common by eager densification during
                                          composition)
-hash      ``O(n + G log G)``             optional numba tier
-                                         (:data:`native.HAVE_NUMBA`), wide or
-                                         sparse key spaces
 sort      ``O(n log n)``                 ``np.unique`` — the legacy path and
                                          universal fallback
 ========  =============================  =======================================
 
-All kernels return counts in ascending key order, making every dispatch
+Both kernels return counts in ascending key order, making every dispatch
 choice bit-identical to the legacy sort path — verified by the parity
-suite in ``tests/test_kernels.py`` with and without numba installed.
+suite in ``tests/test_kernels.py``.
 
 Entry points: :class:`GroupCounter` (per-relation dispatcher, reachable
 as ``Relation.kernels``), :func:`entropy_from_counts` (the shared Eq. 5
@@ -38,26 +35,22 @@ from repro.kernels.count import (
     bincount_limit,
     entropy_from_counts,
     grouping_order,
-    hash_counts,
     key_counts,
     sort_counts,
     sort_ids,
     sort_ids_and_counts,
 )
 from repro.kernels.dispatch import PREFIX_BUDGET, GroupCounter
-from repro.kernels.native import HAVE_NUMBA
 
 __all__ = [
     "GroupCounter",
     "PREFIX_BUDGET",
-    "HAVE_NUMBA",
     "bincount_counts",
     "bincount_ids",
     "bincount_ids_and_counts",
     "bincount_limit",
     "entropy_from_counts",
     "grouping_order",
-    "hash_counts",
     "key_counts",
     "sort_counts",
     "sort_ids",

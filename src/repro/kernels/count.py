@@ -14,21 +14,16 @@ code columns, see :mod:`repro.kernels.compose`):
   :meth:`repro.data.relation.Relation.group_ids` contract.
 * :func:`entropy_from_counts` — the Eq. (5) plug-in entropy of a count
   vector, with the exact filter/summation/clamp sequence shared by
-  :class:`~repro.entropy.partitions.StrippedPartition`,
-  :class:`~repro.entropy.partitions.EvolvingPartition` and the naive
-  engine.
+  :class:`~repro.entropy.partitions.StrippedPartition` and
+  :class:`~repro.entropy.partitions.EvolvingPartition`.
 
-Three kernels with one contract:
+Two kernels with one contract:
 
 * **bincount** — ``O(n + K)`` when the key-space bound ``K`` is modest: one
   ``np.bincount`` scatter, no sort anywhere.  The fast path for the
   low-domain relations the paper's workloads live in.
 * **sort** — ``np.unique``-based, ``O(n log n)``; the legacy path and the
   universal fallback (works for any int64 key space).
-* **hash** — a single-pass open-addressing counter in the optional numba
-  tier (:mod:`repro.kernels.native`), ``O(n + K log K)`` for wide/sparse
-  key spaces; the trailing ``K log K`` sorts the *groups* (not the rows)
-  so counts come out in ascending key order like everyone else.
 
 Selection lives in :mod:`repro.kernels.dispatch`; the functions here are
 deliberately dumb so each is independently parity-testable.
@@ -40,8 +35,6 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-
-from repro.kernels import native
 
 #: Always allow a bincount table of this many counters (a 64k-entry int64
 #: table is half a megabyte — cheaper than any sort).
@@ -82,17 +75,6 @@ def sort_counts(keys: np.ndarray) -> np.ndarray:
     return np.unique(keys, return_counts=True)[1]
 
 
-def hash_counts(keys: np.ndarray) -> np.ndarray:
-    """Group sizes via the native single-pass hash kernel (numba tier).
-
-    Raises :class:`RuntimeError` when numba is unavailable — callers go
-    through the dispatcher, which never selects this kernel without it.
-    """
-    if not native.HAVE_NUMBA:  # pragma: no cover - dispatcher guards this
-        raise RuntimeError("hash kernel requires the optional numba tier")
-    return native.hash_key_counts(keys)[1]
-
-
 def key_counts(
     keys: np.ndarray, bound: Optional[int], n_rows: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -102,14 +84,12 @@ def key_counts(
     ids) — what :class:`~repro.entropy.partitions.EvolvingPartition`
     needs, since its append stability rests on keys never being
     re-densified.  ``bound`` is the key-space bound when known (``None``
-    forces the sort/hash fallback).
+    forces the sort fallback).
     """
     if bound is not None and 0 <= bound <= bincount_limit(n_rows):
         counts = np.bincount(keys, minlength=0)
         nz = np.nonzero(counts)[0]
         return nz.astype(np.int64, copy=False), counts[nz]
-    if native.HAVE_NUMBA:
-        return native.hash_key_counts(np.ascontiguousarray(keys, dtype=np.int64))
     uniq, counts = np.unique(keys, return_counts=True)
     return uniq.astype(np.int64, copy=False), counts
 
@@ -124,7 +104,7 @@ def key_counts(
 #
 # * bincount-merge: one shared counter table, ``total += bincount(chunk)``
 #   per chunk, when the composed key bound fits a bounded table;
-# * hash-merge: per-chunk ``np.unique`` runs merged through
+# * sort-merge: per-chunk ``np.unique`` runs merged through
 #   :func:`merge_key_counts` (sorted-set union + exact int64 adds);
 # * row-merge: for key bounds past the int64 guard the keys stay as
 #   column tuples and :func:`lex_row_counts` groups them
@@ -297,8 +277,8 @@ def entropy_from_counts(counts: np.ndarray, n_rows: int) -> float:
     (singletons contribute 0).  The filter, ``np.dot`` summation order
     (counts must arrive in ascending key order) and the non-negativity
     clamp replicate :meth:`StrippedPartition.entropy` exactly, so every
-    caller — kernels, partitions, naive engine — produces bit-identical
-    floats for the same grouping.
+    caller — kernels, partitions — produces bit-identical floats for the
+    same grouping.
     """
     if n_rows == 0:
         return 0.0
@@ -312,24 +292,14 @@ def grouping_order(ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
     Exactly ``np.argsort(ids, kind="stable")`` — the partition-building
     sort of :meth:`StrippedPartition.from_group_ids` — computed as a
-    counting sort instead of a comparison sort:
-
-    * native tier: one ``O(n)`` placement pass over precomputed
-      bincount + cumsum cluster offsets (the textbook counting sort);
-    * pure numpy: the ids are cast to the smallest sufficient unsigned
-      dtype, where numpy's stable integer argsort is a 1-2 pass radix
-      sort — the vectorizable equivalent, ``O(n + K)`` for dense ids
-      (measured ~6x faster than the int64 argsort it replaces).
+    radix sort instead of a comparison sort: the ids are cast to the
+    smallest sufficient unsigned dtype, where numpy's stable integer
+    argsort is a 1-2 pass radix sort, ``O(n + K)`` for dense ids
+    (measured ~6x faster than the int64 argsort it replaces).
 
     ``counts`` must be ``np.bincount(ids, minlength=n_groups)``; callers
     always have it in hand (it is also the entropy input).
     """
-    if native.HAVE_NUMBA:
-        starts = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        return native.counting_sort_order(
-            np.ascontiguousarray(ids, dtype=np.int64), starts
-        )
     n_groups = len(counts)
     if n_groups <= np.iinfo(np.uint8).max:
         ids = ids.astype(np.uint8)

@@ -11,12 +11,10 @@ kernel (:mod:`repro.kernels.count`):
   table (:func:`count.bincount_limit` — the common case for the paper's
   low-domain workloads, made more common by eager densification during
   composition);
-* ``hash`` (optional numba tier) for wide/sparse key spaces when numba
-  is importable;
 * ``sort`` (``np.unique``, the legacy path) otherwise — always
   available, always the parity reference.
 
-All kernels return counts in ascending key order, so every choice is
+Both kernels return counts in ascending key order, so every choice is
 bit-identical; dispatch affects time, never values.
 
 **Prefix sharing.**  The planner (:mod:`repro.exec.plan`) orders batch
@@ -49,7 +47,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels import compose, count, native
+from repro.kernels import compose, count
 from repro.obs.trace import ACTIVE as _TRACE
 
 #: Default element budget for the composed-prefix LRU (int32/int64 key
@@ -73,7 +71,6 @@ DEFAULT_CHUNK_ROWS = 1 << 18
 _STAT_KEYS = (
     "bincount",
     "sort",
-    "hash",
     "densify_bincount",
     "densify_sort",
     "prefix_hits",
@@ -259,11 +256,6 @@ class GroupCounter:
         if 0 <= bound <= self.limit:
             self.stats["bincount"] += 1
             return count.bincount_counts(keys)
-        if native.HAVE_NUMBA:  # pragma: no cover - exercised in the CI numba leg
-            self.stats["hash"] += 1
-            return native.hash_key_counts(
-                np.ascontiguousarray(keys, dtype=np.int64)
-            )[1]
         self.stats["sort"] += 1
         return count.sort_counts(keys)
 
@@ -292,14 +284,6 @@ class GroupCounter:
         if 0 <= bound <= self.limit:
             self.stats["bincount"] += 1
             return count.bincount_ids_and_counts(keys)
-        if native.HAVE_NUMBA:  # pragma: no cover - exercised in the CI numba leg
-            self.stats["hash"] += 1
-            keys = np.ascontiguousarray(keys, dtype=np.int64)
-            uniq, counts = native.hash_key_counts(keys)
-            # Densify by rank among the sorted distinct keys — exactly the
-            # np.unique inverse, without sorting the rows.
-            ids = np.searchsorted(uniq, keys).astype(np.int64, copy=False)
-            return ids, counts
         self.stats["sort"] += 1
         return count.sort_ids_and_counts(keys)
 
@@ -322,12 +306,6 @@ class GroupCounter:
         if 0 <= bound <= self.limit:
             self.stats["bincount"] += 1
             return count.bincount_ids(keys)
-        if native.HAVE_NUMBA:  # pragma: no cover - exercised in the CI numba leg
-            self.stats["hash"] += 1
-            keys = np.ascontiguousarray(keys, dtype=np.int64)
-            uniq, _counts = native.hash_key_counts(keys)
-            ids = np.searchsorted(uniq, keys).astype(np.int64, copy=False)
-            return ids, len(uniq)
         self.stats["sort"] += 1
         return count.sort_ids(keys)
 
@@ -365,33 +343,6 @@ class GroupCounter:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-
-    def predicted_kernel(self, idx: Tuple[int, ...]) -> str:
-        """Which counting kernel dispatch would pick for ``idx``.
-
-        Simulates the composition bounds without touching row data; after
-        a simulated densify the bound is taken as ``min(bound, n_rows)``
-        (an upper bound on the true group count), so the prediction is an
-        upper bound on cost — the real run can only do better.  Purely
-        informational (benchmarks, docs); the real choice happens inside
-        :meth:`counts`.
-        """
-        if not idx:
-            return "bincount"
-        bound = 1
-        first = True
-        for j in idx:
-            r = max(self.radix[j], 1)
-            if first:
-                bound = r
-                first = False
-                continue
-            if bound > self.limit // r:
-                bound = min(bound, self.n_rows)
-            bound *= r
-        if 0 <= bound <= self.limit:
-            return "bincount"
-        return "hash" if native.HAVE_NUMBA else "sort"
 
     def reset_stats(self) -> None:
         """Zero all dispatch counters (cache contents are kept).

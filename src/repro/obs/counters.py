@@ -18,14 +18,12 @@ exec       ``exec.persist_hits``, ``exec.prefetched`` — batch oracles
 approx     ``approx.escalations`` (decisions re-decided exactly),
            ``approx.exact_evals`` (full-relation entropies those cost)
            — the sampled engine.
-engine     ``engine.products``, ``engine.cache_hits``,
-           ``engine.cache_misses``, ``engine.fast_entropies`` — the PLI
-           cache engine (partition products / PLI-cache hit-miss /
-           counts-first answers).
+engine     ``engine.fast_entropies`` — the exact engine (entropies it
+           evaluated counts-first, i.e. its memo misses).
 delta      ``delta.patched``, ``delta.rebuilt``, ``delta.dropped`` —
            delta-tracking oracles (memo entries patched in place vs.
            recomputed vs. evicted, cumulative across advances).
-kernel     ``kernel.bincount``, ``kernel.sort``, ``kernel.hash``,
+kernel     ``kernel.bincount``, ``kernel.sort``,
            ``kernel.densify_bincount``, ``kernel.densify_sort``,
            ``kernel.prefix_hits``, ``kernel.composed`` — the grouping
            kernel dispatcher (which lane answered, densify fallbacks,
@@ -58,9 +56,8 @@ _ORACLE_EXTRAS = (
     ("exact_evals", "approx.exact_evals"),
 )
 
-#: Attributes lifted off the oracle's engine (the PLI cache tier).
-_ENGINE_EXTRAS = ("products", "cache_hits", "cache_misses",
-                  "fast_entropies")
+#: Attributes lifted off the oracle's engine (the exact engine).
+_ENGINE_EXTRAS = ("fast_entropies",)
 
 
 def flatten_counters(oracle: Any,

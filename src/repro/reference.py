@@ -4,7 +4,8 @@ Everything in this module recomputes, by exhaustive enumeration, a quantity
 that the production code computes cleverly.  The test suite (and nothing
 else) uses these as ground truth on small inputs:
 
-* entropies straight from tuple counts (vs the PLI engine);
+* entropies straight from tuple counts (vs the exact engine), also as a
+  drop-in oracle so whole mining runs can be checked against them;
 * all ε-MVDs / full ε-MVDs / minimal separators by enumerating partitions
   and subsets (vs ``getFullMVDs`` / ``MineMinSeps``);
 * all minimal transversals and maximal independent sets (vs the Berge and
@@ -38,6 +39,27 @@ def entropy_by_counting(relation: Relation, attrs: Iterable[int]) -> float:
         return 0.0
     counts = Counter(tuple(int(v) for v in row) for row in relation.codes[:, attrs])
     return -sum((c / n) * math.log2(c / n) for c in counts.values())
+
+
+class CountingEntropyEngine:
+    """Entropy engine answering every ``H(X)`` by :func:`entropy_by_counting`.
+
+    Shares no code with the counting kernels, so an oracle over it mines
+    ground-truth artefacts the production engines are compared against.
+    """
+
+    def __init__(self, relation: Relation):
+        self.relation = relation
+
+    def entropy_of(self, attrs: Iterable[int]) -> float:
+        return entropy_by_counting(self.relation, attrs)
+
+
+def counting_oracle(relation: Relation):
+    """An :class:`~repro.entropy.oracle.EntropyOracle` over brute-force counts."""
+    from repro.entropy.oracle import EntropyOracle
+
+    return EntropyOracle(relation, CountingEntropyEngine(relation))
 
 
 def j_by_counting(relation: Relation, mvd: MVD) -> float:

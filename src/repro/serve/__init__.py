@@ -1,7 +1,7 @@
 """``repro.serve`` — a long-lived mining service over warm sessions.
 
 Every one-shot CLI invocation pays the full startup bill: parse the CSV,
-rebuild PLI caches, respawn the exec worker pool, reopen the persistent
+rebuild entropy caches, respawn the exec worker pool, reopen the persistent
 entropy cache.  This package amortises all of that across requests, the
 way interactive query systems do:
 

@@ -608,13 +608,10 @@ class MiningService:
         "dataset", "scale", "max_rows",
     })
 
-    #: Engine keys a request may carry (cache_dir / track_deltas are
-    #: server-owned and rejected inside ``EngineSpec.from_request``).
-    ENGINE_KEYS = frozenset({
-        "engine", "workers", "persist", "block_size", "cache_dir",
-        "track_deltas", "estimator", "sample_rows", "confidence",
-        "sample_seed", "trace",
-    })
+    #: Engine keys a request may carry: every ``EngineSpec`` field
+    #: (cache_dir / track_deltas are server-owned and rejected inside
+    #: ``EngineSpec.from_request``).
+    ENGINE_KEYS = frozenset(f.name for f in dataclasses.fields(EngineSpec))
 
     #: Spec-key aliases the transport accepts beyond the dataclass fields.
     SPEC_KEY_ALIASES = {"schemas": frozenset({"no_spurious"})}

@@ -1,10 +1,10 @@
 """Warm mining sessions: one long-lived ``Maimon`` per dataset+config.
 
 The whole point of the serving layer is that the expensive state — the
-oracle memo, the PLI block cache, the exec worker pool and the on-disk
-entropy cache — survives across requests.  A :class:`Session` owns exactly
-that state (a configured :class:`~repro.core.maimon.Maimon`), and the
-:class:`SessionCache` hands sessions out keyed by
+oracle memo, the kernels' composed-prefix cache, the exec worker pool and
+the on-disk entropy cache — survives across requests.  A :class:`Session`
+owns exactly that state (a configured :class:`~repro.core.maimon.Maimon`),
+and the :class:`SessionCache` hands sessions out keyed by
 ``(dataset fingerprint, engine parameters)`` with LRU eviction.
 
 Concurrency contract: the oracle's memo dict and query counters are not
@@ -28,12 +28,11 @@ from repro.data.relation import Relation
 from repro.obs.registry import Histogram, TimedLock
 
 #: Hashable session key: dataset fingerprint + the EngineSpec knobs that
-#: change oracle state (engine, workers, persistence location, block size,
-#: and — for estimate-answering engines — estimator and sampling knobs;
-#: two configs that could return different numbers must never share a
-#: warm oracle).
+#: change oracle state (engine, workers, persistence location, and — for
+#: the approx engine — estimator and sampling knobs; two configs that
+#: could return different numbers must never share a warm oracle).
 SessionKey = Tuple[
-    str, str, int, bool, Optional[str], int,
+    str, str, int, bool, Optional[str],
     str, Optional[int], Optional[float], Optional[int],
 ]
 
@@ -117,7 +116,7 @@ class SessionCache:
     def _session_key(dataset_id: str, spec: EngineSpec) -> SessionKey:
         """The one place a :data:`SessionKey` is built (from an EngineSpec)."""
         return (dataset_id, spec.engine, spec.workers, spec.persist,
-                spec.cache_dir, spec.block_size, spec.estimator,
+                spec.cache_dir, spec.estimator,
                 spec.sample_rows, spec.confidence, spec.sample_seed)
 
     @staticmethod
@@ -145,7 +144,7 @@ class SessionCache:
 
         The config is an :class:`~repro.api.specs.EngineSpec` (preferred)
         or the equivalent keyword arguments (``engine``, ``workers``,
-        ``persist``, ``cache_dir``, ``block_size``).  Callers must pair
+        ``persist``, ``cache_dir``).  Callers must pair
         this with :meth:`release`; prefer the :meth:`lease` context
         manager.  Building the ``Maimon`` happens outside any per-session
         lock, but under the cache lock — sessions are cheap to construct

@@ -2,9 +2,7 @@
 
 Every rule gets a paired fixture set — one snippet it must flag, one it
 must pass — plus pragma-suppression, pyproject-config, baseline and CLI
-coverage.  The RPR001 regression fixture reproduces the *literal* pre-fix
-PR 7 ``native._hash_count`` arithmetic (a bare uint64 Fibonacci constant
-multiplied into an int64 key) that crashed the native tier at first JIT.
+coverage.
 """
 
 import json
@@ -37,131 +35,6 @@ def run_fixture(tmp_path, files, rules=None, **config_kwargs):
 
 def rules_seen(report):
     return sorted({f.rule for f in report.findings})
-
-
-# --------------------------------------------------------------------- #
-# RPR001 — numba dtype discipline
-# --------------------------------------------------------------------- #
-
-#: Verbatim reconstruction of the pre-fix PR 7 hash kernel: ``k`` is an
-#: int64 array element and the bare Fibonacci constant exceeds int64, so
-#: numba types it uint64 and the multiply promotes to float64.
-PRE_FIX_HASH_COUNT = """
-    import numpy as np
-    from numba import njit
-
-    @njit(cache=True)
-    def _hash_count(keys):
-        n = keys.shape[0]
-        cap = 1
-        while cap < 2 * n:
-            cap <<= 1
-        mask = cap - 1
-        table_keys = np.empty(cap, dtype=np.int64)
-        table_counts = np.zeros(cap, dtype=np.int64)
-        used = np.zeros(cap, dtype=np.uint8)
-        n_groups = 0
-        for i in range(n):
-            k = keys[i]
-            h = (k * 0x9E3779B97F4A7C15) & mask
-            while True:
-                if used[h] == 0:
-                    used[h] = 1
-                    table_keys[h] = k
-                    table_counts[h] = 1
-                    n_groups += 1
-                    break
-                if table_keys[h] == k:
-                    table_counts[h] += 1
-                    break
-                h = (h + 1) & mask
-        out_keys = np.empty(n_groups, dtype=np.int64)
-        out_counts = np.empty(n_groups, dtype=np.int64)
-        j = 0
-        for h in range(cap):
-            if used[h]:
-                out_keys[j] = table_keys[h]
-                out_counts[j] = table_counts[h]
-                j += 1
-        return out_keys, out_counts
-"""
-
-
-class TestNumbaDtypeRule:
-    def test_flags_pre_fix_hash_count(self, tmp_path):
-        report = run_fixture(
-            tmp_path, {"kernel.py": PRE_FIX_HASH_COUNT}, rules=["RPR001"]
-        )
-        assert [f.rule for f in report.findings] == ["RPR001"]
-        finding = report.findings[0]
-        # Anchored to the Fibonacci-multiply line, not somewhere nearby.
-        source = textwrap.dedent(PRE_FIX_HASH_COUNT).splitlines()
-        assert "0x9E3779B97F4A7C15" in source[finding.line - 1]
-        assert "float64" in finding.message
-
-    def test_flags_mixed_signed_unsigned(self, tmp_path):
-        report = run_fixture(
-            tmp_path,
-            {
-                "kernel.py": """
-                import numpy as np
-                from numba import njit
-
-                @njit
-                def mix(keys):
-                    fib = np.uint64(11400714819323198485)
-                    k = np.int64(keys[0])
-                    return fib * k
-                """
-            },
-            rules=["RPR001"],
-        )
-        assert rules_seen(report) == ["RPR001"]
-
-    def test_passes_all_unsigned_fixed_shape(self, tmp_path):
-        report = run_fixture(
-            tmp_path,
-            {
-                "kernel.py": """
-                import numpy as np
-                from numba import njit
-
-                @njit(cache=True)
-                def fixed(keys):
-                    fib = np.uint64(11400714819323198485)
-                    umask = np.uint64(63)
-                    h = np.int64((np.uint64(keys[0]) * fib) & umask)
-                    used = np.zeros(64, dtype=np.uint8)
-                    if used[h] == 0:
-                        used[h] = 1
-                    return h
-                """
-            },
-            rules=["RPR001"],
-        )
-        assert report.ok, [f.format() for f in report.findings]
-
-    def test_ignores_unjitted_functions(self, tmp_path):
-        report = run_fixture(
-            tmp_path,
-            {
-                "plain.py": """
-                import numpy as np
-
-                def mix(keys):
-                    return np.uint64(3) * np.int64(keys[0])
-                """
-            },
-            rules=["RPR001"],
-        )
-        assert report.ok
-
-    def test_committed_native_kernel_is_clean(self):
-        config = AnalysisConfig(
-            root=REPO_ROOT, paths=["src/repro/kernels/native.py"]
-        )
-        report = run_analysis(config, only_rules=["RPR001"])
-        assert report.ok, [f.format() for f in report.findings]
 
 
 # --------------------------------------------------------------------- #
@@ -628,7 +501,7 @@ class TestConfig:
         )
         assert rules_seen(report) == ["RPR003"]
         narrowed = AnalysisConfig(
-            root=str(tmp_path), paths=["."], rules=["RPR001"]
+            root=str(tmp_path), paths=["."], rules=["RPR002"]
         )
         assert run_analysis(narrowed).ok
 
@@ -668,7 +541,7 @@ class TestRunner:
 
     def test_every_rule_has_id_and_summary(self):
         rules = make_rules()
-        assert len(rules) >= 5
+        assert len(rules) >= 4
         ids = [r.rule_id for r in rules]
         assert ids == sorted(ids) and len(set(ids)) == len(ids)
         assert all(r.summary for r in rules)
@@ -712,7 +585,7 @@ class TestCheckCommand:
 
     def test_check_rules_filter(self, tmp_path, capsys):
         root = self.fixture_root(tmp_path)
-        assert main(["check", "--root", root, "--rules", "RPR001"]) == 0
+        assert main(["check", "--root", root, "--rules", "RPR002"]) == 0
 
     def test_check_write_baseline_then_clean(self, tmp_path, capsys):
         root = self.fixture_root(tmp_path)
@@ -726,8 +599,9 @@ class TestCheckCommand:
     def test_list_rules(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005"):
+        for rule_id in ("RPR002", "RPR003", "RPR004", "RPR005"):
             assert rule_id in out
+        assert "RPR001" not in out
 
     def test_repo_self_check_via_cli(self, capsys):
         assert main(["check", "--root", REPO_ROOT]) == 0

@@ -55,8 +55,7 @@ _tops = st.integers(min_value=0, max_value=100)
 
 engine_specs = st.builds(
     EngineSpec,
-    engine=st.sampled_from(["pli", "naive", "sql"]),
-    block_size=st.integers(min_value=1, max_value=64),
+    engine=st.sampled_from(api.ENGINES),
     workers=st.integers(min_value=1, max_value=16),
     persist=st.booleans(),
     cache_dir=st.none() | st.text(min_size=1, max_size=24),
@@ -68,7 +67,6 @@ valid_engine_specs = st.builds(
     EngineSpec,
     workers=st.integers(min_value=1, max_value=16),
     persist=st.booleans(),
-    block_size=st.integers(min_value=1, max_value=64),
 ).map(lambda s: s if s.persist else s.replace(cache_dir=None))
 
 data_specs = st.one_of(
@@ -138,11 +136,11 @@ class TestRoundTrips:
 # --------------------------------------------------------------------- #
 
 class TestValidation:
-    def test_workers_require_pli_engine(self):
-        with pytest.raises(SpecError, match="workers"):
-            EngineSpec(engine="sql", workers=4).validate()
-        with pytest.raises(SpecError, match="workers"):
-            EngineSpec(engine="naive", workers=2).validate()
+    def test_sampling_knobs_require_approx(self):
+        with pytest.raises(SpecError, match="sample_rows"):
+            EngineSpec(engine="pli", sample_rows=100).validate()
+        with pytest.raises(SpecError, match="confidence"):
+            EngineSpec(engine="pli", workers=2, confidence=0.9).validate()
 
     def test_cache_dir_requires_persist(self):
         with pytest.raises(SpecError, match="cache_dir"):
@@ -156,10 +154,10 @@ class TestValidation:
     def test_maimon_and_make_oracle_shims_validate(self, fig1):
         from repro.entropy.oracle import make_oracle
 
-        with pytest.raises(SpecError, match="workers"):
-            Maimon(fig1, engine="sql", workers=4)
-        with pytest.raises(SpecError, match="workers"):
-            make_oracle(fig1, engine="naive", workers=2)
+        with pytest.raises(SpecError, match="engine"):
+            Maimon(fig1, engine="naive", workers=4)
+        with pytest.raises(SpecError, match="sample_rows"):
+            make_oracle(fig1, engine="pli", sample_rows=100)
         with pytest.raises(SpecError, match="cache_dir"):
             Maimon(fig1, persist=False, cache_dir="/tmp/x")
 
@@ -192,8 +190,8 @@ class TestValidation:
 
     def test_spec_error_names_the_field(self):
         with pytest.raises(SpecError) as err:
-            EngineSpec(engine="sql", workers=4).validate()
-        assert err.value.field == "workers"
+            EngineSpec(engine="pli", sample_rows=100).validate()
+        assert err.value.field == "sample_rows"
 
     def test_serve_rejects_invalid_specs_structurally(self, fig1):
         """The serving layer turns SpecError into a structured 400."""
@@ -202,7 +200,7 @@ class TestValidation:
         with MiningService() as service:
             ds = service.registry.add(fig1)
             for payload, field in [
-                ({"engine": "sql", "workers": 4}, "workers"),
+                ({"sample_rows": 100}, "sample_rows"),
                 ({"eps": -1}, "eps"),
                 ({"workers": "abc"}, "workers"),
                 ({"eps": True}, "eps"),       # bools never coerce to numbers
@@ -248,10 +246,59 @@ class TestValidation:
             main(["mine", "--config", str(bad)])
 
     def test_cli_rejects_invalid_combo_with_clear_error(self, fig1_csv):
-        with pytest.raises(SystemExit, match="workers"):
-            main(["mine", fig1_csv, "--engine", "sql", "--workers", "4"])
+        with pytest.raises(SystemExit, match="sample_rows") as err:
+            main(["mine", fig1_csv, "--sample-rows", "100"])
+        assert err.value.code == 2
         with pytest.raises(SystemExit, match="cache_dir"):
             main(["mine", fig1_csv, "--no-persist", "--cache-dir", "/tmp/x"])
+
+
+#: Engine knobs removed from the request contract, as a config file or an
+#: HTTP body might still carry them: (engine fields, offending field).
+REMOVED_KNOBS = [
+    ({"block_size": 10}, "block_size"),
+    ({"engine": "naive"}, "engine"),
+]
+
+
+class TestRemovedEngineKnobs:
+    """Knobs of the deleted engine arms fail loudly at every front door."""
+
+    @pytest.mark.parametrize("engine,field", REMOVED_KNOBS)
+    def test_library_names_the_field(self, engine, field):
+        data = {"task": "mine", "spec": {"eps": 0.0}, "engine": engine}
+        with pytest.raises(SpecError) as err:
+            TaskRequest.from_dict(data).validate()
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("engine,field", REMOVED_KNOBS)
+    def test_cli_config_exits_2(self, fig1_csv, tmp_path, engine, field):
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({
+            "task": "mine", "spec": {"eps": 0.0}, "engine": engine,
+            "data": {"csv": fig1_csv},
+        }))
+        with pytest.raises(SystemExit, match=field) as err:
+            main(["mine", "--config", str(config)])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("engine,field", REMOVED_KNOBS)
+    def test_http_body_is_a_structured_400(self, served, engine, field):
+        import urllib.error
+        import urllib.request
+
+        body = json.dumps({"dataset_id": served["dataset_id"], **engine})
+        req = urllib.request.Request(
+            f"http://127.0.0.1:{served['port']}/mine",
+            data=body.encode("utf-8"),
+            headers={"Content-Type": "application/json"}, method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=60)
+        assert err.value.code == 400
+        reply = json.loads(err.value.read().decode("utf-8"))
+        assert reply["code"] == "invalid_spec"
+        assert reply["field"] == field
 
 
 # --------------------------------------------------------------------- #
@@ -340,23 +387,25 @@ def _strip_clock(payload: dict) -> dict:
     return out
 
 
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """A background ``repro serve`` with the running example uploaded."""
+    from repro.serve import MiningService, ServeClient, start_background
+
+    csv_path = str(tmp_path_factory.mktemp("parity") / "fig1.csv")
+    to_csv(paper_running_example(), csv_path)
+    service = MiningService(max_request_seconds=60)
+    server, _ = start_background(service)
+    client = ServeClient(
+        f"http://127.0.0.1:{server.server_port}", timeout=120
+    )
+    ds = client.upload_csv(path=csv_path)
+    yield {"client": client, "dataset_id": ds["dataset_id"],
+           "csv": csv_path, "port": server.server_port}
+    server.close()
+
+
 class TestGoldenParity:
-    @pytest.fixture(scope="class")
-    def served(self, tmp_path_factory):
-        from repro.serve import MiningService, ServeClient, start_background
-
-        csv_path = str(tmp_path_factory.mktemp("parity") / "fig1.csv")
-        to_csv(paper_running_example(), csv_path)
-        service = MiningService(max_request_seconds=60)
-        server, _ = start_background(service)
-        client = ServeClient(
-            f"http://127.0.0.1:{server.server_port}", timeout=120
-        )
-        ds = client.upload_csv(path=csv_path)
-        yield {"client": client, "dataset_id": ds["dataset_id"],
-               "csv": csv_path}
-        server.close()
-
     def _three_way(self, served, request, cli_args, tmp_path):
         """Run one request through all three front doors; return payloads."""
         lib = api.run(request.replace(data=DataSpec(csv=served["csv"]))

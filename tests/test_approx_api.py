@@ -23,6 +23,7 @@ from repro.data.generators import paper_running_example
 from repro.data.loaders import to_csv
 from repro.entropy.estimators import EstimatedEntropyEngine
 from repro.entropy.oracle import make_oracle
+from tests.conftest import random_relation
 
 
 @pytest.fixture
@@ -55,23 +56,20 @@ class TestEngineSpecValidation:
         ("confidence", 0.9),
         ("sample_seed", 1),
     ])
-    @pytest.mark.parametrize("engine", ["pli", "naive", "sql", "estimated"])
-    def test_sampling_knobs_rejected_for_non_approx(self, engine, field, value):
-        spec = EngineSpec(engine=engine, **{field: value})
+    def test_sampling_knobs_rejected_for_pli(self, field, value):
+        spec = EngineSpec(engine="pli", **{field: value})
         with pytest.raises(SpecError) as exc:
             spec.validate()
         assert exc.value.field == field
         assert "approx" in str(exc.value)
 
-    @pytest.mark.parametrize("engine", ["pli", "naive", "sql"])
-    def test_estimator_rejected_for_exact_engines(self, engine):
+    def test_estimator_rejected_for_pli(self):
         with pytest.raises(SpecError) as exc:
-            EngineSpec(engine=engine, estimator="miller_madow").validate()
+            EngineSpec(engine="pli", estimator="miller_madow").validate()
         assert exc.value.field == "estimator"
 
-    @pytest.mark.parametrize("engine", ["estimated", "approx"])
-    def test_estimator_allowed_for_estimating_engines(self, engine):
-        EngineSpec(engine=engine, estimator="jackknife").validate()
+    def test_estimator_allowed_for_approx(self):
+        EngineSpec(engine="approx", estimator="jackknife").validate()
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(SpecError) as exc:
@@ -95,13 +93,10 @@ class TestEngineSpecValidation:
             EngineSpec(engine="approx", **{field: value}).validate()
         assert exc.value.field == field
 
-    def test_workers_allowed_with_approx(self):
-        # workers feed the exact escalation tier (a PLI oracle).
-        EngineSpec(engine="approx", workers=2).validate()
-
-    def test_workers_still_rejected_with_estimated(self):
-        with pytest.raises(SpecError):
-            EngineSpec(engine="estimated", workers=2).validate()
+    @pytest.mark.parametrize("engine", ["pli", "approx"])
+    def test_workers_allowed_with_every_engine(self, engine):
+        # For approx, workers feed the exact escalation tier.
+        EngineSpec(engine=engine, workers=2).validate()
 
     def test_round_trip_preserves_sampling_knobs(self):
         spec = EngineSpec(engine="approx", sample_rows=777,
@@ -165,9 +160,10 @@ class TestEngineSpecProvenance:
 
 
 class TestMakeOracleDispatch:
-    def test_estimated_arm(self):
-        r = paper_running_example()
-        oracle = make_oracle(r, engine="estimated", estimator="miller_madow")
+    def test_estimator_reaches_the_sample_tier(self):
+        r = random_relation(3, 50, seed=1)
+        oracle = make_oracle(r, engine="approx", estimator="miller_madow",
+                             sample_rows=20)
         assert isinstance(oracle.engine, EstimatedEntropyEngine)
         assert oracle.engine.estimator == "miller_madow"
 

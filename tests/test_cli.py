@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import ENGINES
 from repro.cli import build_parser, main
 from repro.data.generators import paper_running_example
 from repro.data.loaders import to_csv
@@ -110,8 +111,8 @@ class TestBugfixRegressions:
             return original(relation, *args, **kwargs)
 
         monkeypatch.setattr(oracle_mod, "make_oracle", spy)
-        assert main(["profile", fig1_csv, "--engine", "naive", "--no-persist"]) == 0
-        assert seen["engine"] == "naive"
+        assert main(["profile", fig1_csv, "--engine", "approx", "--no-persist"]) == 0
+        assert seen["engine"] == "approx"
 
     def test_mine_budget_zero_means_no_time(self, fig1_csv, capsys):
         """Regression: --budget 0 was truth-tested into 'unlimited'."""
@@ -124,13 +125,24 @@ class TestBugfixRegressions:
         assert main(["schemas", fig1_csv, "--budget", "0", "--no-persist"]) == 1
         assert "no schemas found" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", ["pli", "naive", "sql"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_all_engines_exposed_and_working(self, fig1_csv, engine, capsys):
         """The CLI must accept every engine make_oracle supports."""
         assert main(
             ["mine", fig1_csv, "--engine", engine, "--top", "2", "--no-persist"]
         ) == 0
         assert "->>" in capsys.readouterr().out
+
+    def test_engine_and_estimator_choices_follow_registries(self):
+        from repro.entropy.estimators import ESTIMATORS
+
+        commands = next(
+            a for a in build_parser()._actions if a.dest == "command"
+        ).choices
+        for name in ("mine", "schemas", "profile", "serve"):
+            flags = {a.dest: a for a in commands[name]._actions}
+            assert tuple(flags["engine"].choices) == ENGINES
+            assert list(flags["estimator"].choices) == list(ESTIMATORS)
 
     def test_profile_json_output(self, fig1_csv, tmp_path):
         out_path = str(tmp_path / "profile.json")

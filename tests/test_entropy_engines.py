@@ -1,4 +1,4 @@
-"""Naive vs PLI-cache engines vs counting reference, plus Shannon laws."""
+"""The exact engine vs the counting reference, plus Shannon laws."""
 
 import itertools
 import math
@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.entropy.naive import NaiveEntropyEngine
+from repro.api import SpecError
 from repro.entropy.plicache import PLICacheEngine
 from repro.entropy.oracle import make_oracle
 from repro.reference import entropy_by_counting
@@ -19,35 +19,23 @@ def all_subsets(n, max_size=None):
         yield from (frozenset(c) for c in itertools.combinations(range(n), r))
 
 
-class TestEnginesAgree:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_naive_equals_counting(self, seed):
-        r = random_relation(4, 50, seed=seed)
-        eng = NaiveEntropyEngine(r)
-        for attrs in all_subsets(4):
-            assert eng.entropy_of(attrs) == pytest.approx(
-                entropy_by_counting(r, attrs), abs=1e-10
-            )
-
-    @pytest.mark.parametrize("block_size", [1, 2, 3, 10])
-    def test_pli_equals_naive_all_subsets(self, block_size):
+class TestEngineAgreesWithCounting:
+    def test_pli_equals_counting_all_subsets(self):
         r = random_relation(5, 64, seed=3)
-        naive = NaiveEntropyEngine(r)
-        pli = PLICacheEngine(r, block_size=block_size)
+        pli = PLICacheEngine(r)
         for attrs in all_subsets(5):
             assert pli.entropy_of(attrs) == pytest.approx(
-                naive.entropy_of(attrs), abs=1e-9
-            ), f"mismatch on {sorted(attrs)} (block_size={block_size})"
+                entropy_by_counting(r, attrs), abs=1e-9
+            ), f"mismatch on {sorted(attrs)}"
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 5000), rows=st.integers(1, 60))
-    def test_pli_equals_naive_property(self, seed, rows):
+    def test_pli_equals_counting_property(self, seed, rows):
         r = random_relation(4, rows, seed=seed)
-        naive = NaiveEntropyEngine(r)
-        pli = PLICacheEngine(r, block_size=2)
+        pli = PLICacheEngine(r)
         for attrs in all_subsets(4):
             assert pli.entropy_of(attrs) == pytest.approx(
-                naive.entropy_of(attrs), abs=1e-9
+                entropy_by_counting(r, attrs), abs=1e-9
             )
 
 
@@ -71,14 +59,13 @@ class TestEntropyLaws:
     def test_full_set_entropy_log_n_when_rows_distinct(self):
         r = random_relation(5, 30, seed=8)
         distinct = r.distinct()
-        eng = NaiveEntropyEngine(distinct)
+        eng = PLICacheEngine(distinct)
         assert eng.entropy_of(frozenset(range(5))) == pytest.approx(
             math.log2(distinct.n_rows)
         )
 
     def test_empty_set_entropy_zero(self):
         r = random_relation(3, 10, seed=0)
-        assert NaiveEntropyEngine(r).entropy_of(frozenset()) == 0.0
         assert PLICacheEngine(r).entropy_of(frozenset()) == 0.0
 
     def test_empty_relation(self):
@@ -86,92 +73,17 @@ class TestEntropyLaws:
         from repro.data.relation import Relation
 
         r = Relation(np.zeros((0, 2), dtype=np.int64), ["a", "b"])
-        assert NaiveEntropyEngine(r).entropy_of(frozenset({0})) == 0.0
+        assert PLICacheEngine(r).entropy_of(frozenset({0})) == 0.0
         assert PLICacheEngine(r).entropy_of(frozenset({0, 1})) == 0.0
 
 
 class TestCaching:
-    def test_pli_cache_hits_grow(self):
-        # counts_fast_path=False pins the partition-product machinery;
-        # with the fast path on, entropy_of never touches partitions.
+    def test_memo_hit_is_not_an_evaluation(self):
         r = random_relation(6, 100, seed=4)
-        eng = PLICacheEngine(r, block_size=3, counts_fast_path=False)
-        eng.entropy_of(frozenset({0, 1, 4}))
-        misses_first = eng.cache_misses
-        eng._entropy_memo.clear()  # force partition path again
-        eng.entropy_of(frozenset({0, 1, 4}))
-        assert eng.cache_hits > 0
-        assert eng.cache_misses == misses_first  # no new partition work
-
-    def test_fast_path_skips_partitions(self):
-        r = random_relation(6, 100, seed=4)
-        eng = PLICacheEngine(r, block_size=3)
-        eng.entropy_of(frozenset({0, 1, 4}))
+        eng = PLICacheEngine(r)
+        first = eng.entropy_of(frozenset({0, 1, 4}))
+        assert eng.entropy_of(frozenset({0, 1, 4})) == first
         assert eng.fast_entropies == 1
-        assert eng.products == 0 and not eng._block_cache
-        # partition_of still builds (and caches) PLIs on demand.
-        part = eng.partition_of(frozenset({0, 1}))
-        assert part.n_rows == 100
-        assert eng._block_cache
-
-    def test_fast_path_matches_partition_path_memo(self):
-        r = random_relation(5, 80, seed=9)
-        fast = PLICacheEngine(r, block_size=2)
-        slow = PLICacheEngine(r, block_size=2, counts_fast_path=False)
-        for attrs in all_subsets(5):
-            assert fast.entropy_of(attrs) == pytest.approx(
-                slow.entropy_of(attrs), abs=1e-9
-            )
-
-    def test_cross_cache_eviction(self):
-        r = random_relation(8, 60, seed=5)
-        eng = PLICacheEngine(r, block_size=2, cross_cache_size=2)
-        for attrs in ({0, 2, 4}, {1, 3, 5}, {0, 5, 7}, {2, 3, 6}):
-            eng.entropy_of(frozenset(attrs))
-        assert len(eng._cross_cache) <= 2
-
-    def test_cross_cache_lru_at_boundary(self):
-        """Pin the eviction *order* exactly at the cache-size boundary:
-        a re-used entry is refreshed, so the least-recently-used one goes."""
-        r = random_relation(8, 60, seed=5)
-        eng = PLICacheEngine(r, block_size=2, cross_cache_size=2)
-        a, b, c = frozenset({0, 2}), frozenset({0, 4}), frozenset({0, 6})
-        eng.partition_of(a)           # cache: [a]
-        eng.partition_of(b)           # cache: [a, b] — exactly at capacity
-        assert list(eng._cross_cache) == [a, b]
-        eng.partition_of(a)           # LRU refresh: [b, a]
-        assert list(eng._cross_cache) == [b, a]
-        hits_before = eng.cache_hits
-        eng.partition_of(c)           # overflow: b (least recent) evicted
-        assert list(eng._cross_cache) == [a, c]
-        # The refreshed entry still serves hits; the evicted one is rebuilt.
-        eng.partition_of(a)
-        assert eng.cache_hits > hits_before
-        products_before = eng.products
-        eng.partition_of(b)
-        assert eng.products > products_before
-
-    def test_naive_scan_counter(self):
-        r = random_relation(3, 20, seed=6)
-        eng = NaiveEntropyEngine(r)
-        eng.entropy_of(frozenset({0, 1}))
-        eng.entropy_of(frozenset({0, 1}))  # memo hit
-        assert eng.scans == 1
-        eng.reset_stats()
-        assert eng.scans == 0
-
-    def test_block_size_validation(self):
-        r = random_relation(2, 5, seed=0)
-        with pytest.raises(ValueError):
-            PLICacheEngine(r, block_size=0)
-
-    def test_reset_stats(self):
-        r = random_relation(3, 20, seed=6)
-        eng = PLICacheEngine(r, counts_fast_path=False)
-        eng.entropy_of(frozenset({0, 1, 2}))
-        assert eng.products > 0
-        eng.reset_stats()
-        assert eng.products == 0
 
     def test_reset_stats_clears_fast_and_kernel_counters(self):
         r = random_relation(3, 20, seed=6)
@@ -190,7 +102,7 @@ class TestCaching:
         # view — and never zeroes the shared counters themselves.
         r = random_relation(3, 30, seed=7)
         a = PLICacheEngine(r)
-        b = NaiveEntropyEngine(r)
+        b = PLICacheEngine(r)
         a.entropy_of(frozenset({0, 1}))
         shared_before = sum(r.kernels.snapshot().values())
         b_before = b.kernel_stats
@@ -206,11 +118,12 @@ class TestCaching:
 class TestMakeOracle:
     def test_engine_selection(self, fig1):
         assert isinstance(make_oracle(fig1, engine="pli").engine, PLICacheEngine)
-        assert isinstance(make_oracle(fig1, engine="naive").engine, NaiveEntropyEngine)
 
-    def test_unknown_engine(self, fig1):
-        with pytest.raises(ValueError, match="unknown engine"):
-            make_oracle(fig1, engine="duckdb")
+    @pytest.mark.parametrize("engine", ["duckdb", "naive", "sql", "estimated"])
+    def test_unknown_engine(self, fig1, engine):
+        with pytest.raises(SpecError, match="unknown engine") as err:
+            make_oracle(fig1, engine=engine)
+        assert err.value.field == "engine"
 
 
 class TestOutOfRangeAttrs:
@@ -223,8 +136,3 @@ class TestOutOfRangeAttrs:
             eng.entropy_of(frozenset({0, 99}))
         with pytest.raises(IndexError):
             eng.entropy_of(frozenset({99}))
-
-    def test_naive_out_of_range_raises(self):
-        r = random_relation(5, 20, seed=3)
-        with pytest.raises(IndexError):
-            NaiveEntropyEngine(r).entropy_of(frozenset({7}))

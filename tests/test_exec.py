@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common import TOL
 from repro.core.minsep import mine_all_min_seps
-from repro.entropy.naive import NaiveEntropyEngine
 from repro.entropy.oracle import EntropyOracle, make_oracle
 from repro.entropy.plicache import PLICacheEngine
 from repro.exec.batch import BatchEntropyOracle
@@ -22,6 +21,7 @@ from repro.exec.plan import (
 )
 from repro.exec.pool import ParallelEvaluator
 from repro.fd.tane import mine_fds
+from repro.reference import entropy_by_counting
 from tests.conftest import random_relation
 
 
@@ -36,20 +36,19 @@ def all_subsets(n, max_size=None):
 # --------------------------------------------------------------------- #
 
 class TestParity:
-    """Naive engine, PLI engine and the batch oracle (serial and parallel)
-    must agree within TOL on random relations (acceptance criterion)."""
+    """The exact engine and the batch oracle (serial and parallel) must
+    agree with brute-force counting within TOL on random relations."""
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2000), rows=st.integers(2, 60))
     def test_engines_and_serial_batch_agree(self, seed, rows):
         r = random_relation(4, rows, seed=seed)
-        naive = NaiveEntropyEngine(r)
-        pli = PLICacheEngine(r, block_size=2)
+        pli = PLICacheEngine(r)
         batch = BatchEntropyOracle(r, workers=1)
         sets = list(all_subsets(4))
         hs = batch.entropies(sets)
         for attrs in sets:
-            expected = naive.entropy_of(attrs)
+            expected = entropy_by_counting(r, attrs)
             assert pli.entropy_of(attrs) == pytest.approx(expected, abs=TOL)
             assert hs[attrs] == pytest.approx(expected, abs=TOL)
 
@@ -194,9 +193,10 @@ class TestPool:
         sets = list(all_subsets(5, 3))
         with ParallelEvaluator(r, workers=2) as pool:
             got = pool.entropies(sets)
-        eng = NaiveEntropyEngine(r)
         for attrs in sets:
-            assert got[attrs] == pytest.approx(eng.entropy_of(attrs), abs=TOL)
+            assert got[attrs] == pytest.approx(
+                entropy_by_counting(r, attrs), abs=TOL
+            )
 
     def test_pool_g3_match_serial(self):
         from repro.fd.measures import g3_error
@@ -266,7 +266,7 @@ class TestPersist:
         assert len(files) == 1
         payload = json.loads((tmp_path / files[0]).read_text())
         assert payload["fingerprint"] == relation_fingerprint(
-            r, params=("PLICacheEngine", 10, 4096)
+            r, params=("PLICacheEngine",)
         )
         assert len(payload["entropies"]) == 2
 

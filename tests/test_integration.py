@@ -9,6 +9,7 @@ from repro.data.generators import decomposable, markov_tree
 from repro.entropy.oracle import make_oracle
 from repro.quality.metrics import storage_savings_pct
 from repro.quality.spurious import spurious_tuple_count, spurious_tuple_pct
+from repro.reference import counting_oracle
 
 
 class TestPlantedSchemaRecovery:
@@ -106,10 +107,9 @@ class TestConsistencyAcrossEngines:
     def test_pipeline_engine_invariance(self):
         r = markov_tree(5, 300, seed=31)
         out_pli = {ds.schema for ds in Maimon(r, engine="pli").discover(0.05, limit=25)}
-        out_naive = {
-            ds.schema for ds in Maimon(r, engine="naive").discover(0.05, limit=25)
-        }
-        assert out_pli == out_naive
+        reference = Maimon(r, oracle=counting_oracle(r))
+        out_reference = {ds.schema for ds in reference.discover(0.05, limit=25)}
+        assert out_pli == out_reference
 
     def test_pipeline_optimization_invariance(self):
         r = markov_tree(5, 300, seed=37)

@@ -2,9 +2,7 @@
 
 Every kernel must be *bit-identical* — not approximately equal — to the
 legacy ``np.unique`` sort path: identical counts, identical dense ids,
-identical entropies, identical partition layouts.  The suite runs both
-with and without numba in CI (the ``kernels`` job), so the optional
-native tier can never become load-bearing.
+identical entropies, identical partition layouts.
 """
 
 from __future__ import annotations
@@ -35,12 +33,8 @@ from repro.kernels import (
     sort_ids,
     sort_ids_and_counts,
 )
-from repro.kernels import native
+from repro.reference import counting_oracle
 from conftest import random_relation
-
-needs_numba = pytest.mark.skipif(
-    not native.HAVE_NUMBA, reason="numba tier not installed"
-)
 
 
 def legacy_group_ids(codes, radix, idx):
@@ -74,17 +68,13 @@ def keys_strategy(max_key=40, max_len=300):
 
 
 class TestCountingKernels:
-    """bincount / sort (/ hash) answer identically on arbitrary keys."""
+    """bincount and sort answer identically on arbitrary keys."""
 
     @settings(max_examples=60, deadline=None)
     @given(keys=keys_strategy())
     def test_counts_kernels_identical(self, keys):
         ref = sort_counts(keys)
         assert np.array_equal(bincount_counts(keys), ref)
-        if native.HAVE_NUMBA:
-            uniq, counts = native.hash_key_counts(keys)
-            assert np.array_equal(counts, ref)
-            assert np.array_equal(uniq, np.unique(keys))
 
     @settings(max_examples=60, deadline=None)
     @given(keys=keys_strategy())
@@ -109,9 +99,6 @@ class TestCountingKernels:
         h_sort = entropy_from_counts(sort_counts(keys), n)
         h_bin = entropy_from_counts(bincount_counts(keys), n)
         assert h_bin == h_sort  # bitwise, not approx
-        if native.HAVE_NUMBA:
-            h_hash = entropy_from_counts(native.hash_key_counts(keys)[1], n)
-            assert h_hash == h_sort
 
     @settings(max_examples=40, deadline=None)
     @given(keys=keys_strategy(max_key=10_000_000))
@@ -126,16 +113,6 @@ class TestCountingKernels:
         uniq, counts = key_counts(keys, 4, len(keys))
         assert np.array_equal(uniq, [0, 1, 3])
         assert np.array_equal(counts, [1, 2, 3])
-
-    @needs_numba
-    def test_hash_kernel_matches_on_random_relations(self):
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            keys = rng.integers(0, 10**12, size=4000)
-            uniq, counts = native.hash_key_counts(keys)
-            uniq_ref, counts_ref = np.unique(keys, return_counts=True)
-            assert np.array_equal(uniq, uniq_ref)
-            assert np.array_equal(counts, counts_ref)
 
 
 class TestGroupingOrder:
@@ -257,21 +234,12 @@ class TestDispatcher:
         gc.counts((0, 1, 2, 3))
         assert gc.stats["bincount"] == 1 and gc.stats["sort"] == 0
 
-    def test_sort_or_hash_selected_for_sparse_keys(self):
+    def test_sort_selected_for_sparse_keys(self):
         rng = np.random.default_rng(1)
         codes = rng.integers(0, 10**6, size=(800, 3)).astype(np.int64)
         gc = GroupCounter(codes, [int(codes[:, j].max()) + 1 for j in range(3)])
         gc.counts((0,))
-        fallback = gc.stats["hash"] if native.HAVE_NUMBA else gc.stats["sort"]
-        assert fallback == 1 and gc.stats["bincount"] == 0
-
-    def test_predicted_kernel(self):
-        r = random_relation(4, 5000, seed=0)
-        assert r.kernels.predicted_kernel((0, 1)) == "bincount"
-        rng = np.random.default_rng(1)
-        codes = rng.integers(0, 10**7, size=(100, 2)).astype(np.int64)
-        gc = GroupCounter(codes, [int(codes[:, j].max()) + 1 for j in range(2)])
-        assert gc.predicted_kernel((0,)) in ("sort", "hash")
+        assert gc.stats["sort"] == 1 and gc.stats["bincount"] == 0
 
     def test_prefix_cache_hits_on_lattice_order(self):
         r = random_relation(6, 1000, seed=2)
@@ -296,8 +264,7 @@ class TestDispatcher:
 
     def test_wide_key_ids_and_counts_match_sort(self):
         # A single sparse column keeps the composed bound above the
-        # bincount limit, forcing the fallback lane: hash when numba is
-        # installed, sort otherwise.  Either way the fused ids/counts
+        # bincount limit, forcing the sort lane; the fused ids/counts
         # (and the ids-only form) must equal the legacy sort kernel
         # bit-for-bit.
         rng = np.random.default_rng(6)
@@ -312,8 +279,7 @@ class TestDispatcher:
         got_ids2, got_n = gc.ids((0,))
         assert np.array_equal(got_ids2, ref_ids)
         assert got_n == len(ref_counts)
-        lane = "hash" if native.HAVE_NUMBA else "sort"
-        assert gc.stats[lane] == 2 and gc.stats["bincount"] == 0
+        assert gc.stats["sort"] == 2 and gc.stats["bincount"] == 0
 
     def test_bincount_limit_scales(self):
         assert bincount_limit(10) == 1 << 16
@@ -344,37 +310,22 @@ class TestDispatcher:
 
 
 class TestEnginesUseKernels:
-    def test_pli_fast_path_equals_naive_bitwise(self):
-        # Both answer counts-first from the same dispatcher: bit-equal.
+    def test_pli_equals_uncached_dispatcher_bitwise(self):
+        # The engine memo and the composed-prefix cache change cost,
+        # never bits: a prefix-free dispatcher gives the same floats.
         r = random_relation(5, 300, seed=7)
         pli = PLICacheEngine(r)
-        from repro.entropy.naive import NaiveEntropyEngine
-
-        naive = NaiveEntropyEngine(r)
+        fresh = GroupCounter(r.codes, r.radix, prefix_budget=0)
         for size in range(0, 6):
             for idx in itertools.combinations(range(5), size):
-                assert pli.entropy_of(frozenset(idx)) == naive.entropy_of(
-                    frozenset(idx)
-                )
-
-    def test_fast_path_vs_partition_products_approx(self):
-        # Partition products accumulate different float error; agreement
-        # is ~1e-12, asserted at the engines' documented tolerance.
-        r = random_relation(5, 200, seed=8)
-        fast = PLICacheEngine(r, block_size=2)
-        slow = PLICacheEngine(r, block_size=2, counts_fast_path=False)
-        for size in range(0, 6):
-            for idx in itertools.combinations(range(5), size):
-                assert fast.entropy_of(frozenset(idx)) == pytest.approx(
-                    slow.entropy_of(frozenset(idx)), abs=1e-9
-                )
+                assert pli.entropy_of(frozenset(idx)) == fresh.entropy(idx)
 
     def test_oracle_kernel_stats_surface(self):
         r = random_relation(4, 100, seed=9)
         oracle = EntropyOracle(r)
         oracle.entropy(frozenset({0, 1}))
         stats = oracle.kernel_stats()
-        assert stats["bincount"] + stats["sort"] + stats["hash"] >= 1
+        assert stats["bincount"] + stats["sort"] >= 1
 
     def test_maimon_counters_include_kernels(self):
         r = random_relation(4, 200, seed=10)
@@ -411,7 +362,7 @@ class TestEnginesUseKernels:
 
 
 class TestGoldenMiningParity:
-    """End-to-end: fast path and legacy path mine identical outputs."""
+    """End-to-end: counts-first mining equals brute-force counting."""
 
     @pytest.mark.parametrize("name,eps", [
         ("Bridges", 0.1),
@@ -420,18 +371,15 @@ class TestGoldenMiningParity:
     ])
     def test_minseps_mvds_schemas_identical(self, name, eps):
         relation = datasets.load(name, scale=1.0, max_rows=1200, max_cols=7)
-        legacy_oracle = EntropyOracle(
-            relation, PLICacheEngine(relation, counts_fast_path=False)
-        )
-        legacy = Maimon(relation, oracle=legacy_oracle)
-        want = legacy.mine_mvds(eps)
+        reference = Maimon(relation, oracle=counting_oracle(relation))
+        want = reference.mine_mvds(eps)
         fast = Maimon(relation)
         got = fast.mine_mvds(eps)
         assert sorted(want.mvds) == sorted(got.mvds)
         assert {p: sorted(v) for p, v in want.min_seps.items()} == \
                {p: sorted(v) for p, v in got.min_seps.items()}
-        want_schemas = [d.schema for d in legacy.discover(eps, limit=5)]
+        want_schemas = [d.schema for d in reference.discover(eps, limit=5)]
         got_schemas = [d.schema for d in fast.discover(eps, limit=5)]
         assert want_schemas == got_schemas
-        # The fast run really ran counts-first.
+        # The production run really ran counts-first.
         assert fast.counters()["kernel.bincount"] > 0

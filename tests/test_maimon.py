@@ -5,6 +5,7 @@ import pytest
 from repro.core.budget import SearchBudget
 from repro.core.maimon import Maimon
 from repro.core.schema import Schema
+from repro.reference import counting_oracle
 
 
 class TestFig1EndToEnd:
@@ -118,10 +119,10 @@ class TestRedTupleStory:
 
 
 class TestEngines:
-    def test_naive_engine_same_results(self, fig1):
+    def test_counting_reference_same_results(self, fig1):
         schemas_pli = {ds.schema for ds in Maimon(fig1, engine="pli").discover(0.0)}
-        schemas_naive = {ds.schema for ds in Maimon(fig1, engine="naive").discover(0.0)}
-        assert schemas_pli == schemas_naive
+        reference = Maimon(fig1, oracle=counting_oracle(fig1))
+        assert schemas_pli == {ds.schema for ds in reference.discover(0.0)}
 
     def test_nursery_no_exact_decomposition(self, nursery_small):
         """Fig. 10(a): at J = 0 Nursery admits no decomposition (m = 1).

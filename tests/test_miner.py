@@ -6,7 +6,12 @@ from repro.common import TOL
 from repro.core.budget import SearchBudget
 from repro.core.measures import j_measure
 from repro.core.miner import MVDMiner, mine_mvds
-from repro.reference import all_standard_mvds, full_mvds_with_key, minimal_separators
+from repro.reference import (
+    all_standard_mvds,
+    counting_oracle,
+    full_mvds_with_key,
+    minimal_separators,
+)
 from tests.conftest import random_relation
 
 A, B, C, D, E, F = range(6)
@@ -113,7 +118,7 @@ class TestMinerModes:
         plain = MVDMiner(fig1, optimized=False).mine(0.0)
         assert set(opt.mvds) == set(plain.mvds)
 
-    def test_naive_engine_agrees(self, fig1):
+    def test_counting_reference_agrees(self, fig1):
         pli = mine_mvds(fig1, 0.0, engine="pli")
-        naive = mine_mvds(fig1, 0.0, engine="naive")
-        assert set(pli.mvds) == set(naive.mvds)
+        reference = MVDMiner(counting_oracle(fig1)).mine(0.0)
+        assert set(pli.mvds) == set(reference.mvds)

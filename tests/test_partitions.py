@@ -1,13 +1,11 @@
 """Tests for stripped partitions (the CNT/TID analogue)."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data.relation import Relation
-from repro.entropy.partitions import StrippedPartition, partition_product
+from repro.entropy.partitions import StrippedPartition
 from repro.reference import entropy_by_counting
 from tests.conftest import random_relation
 
@@ -90,58 +88,6 @@ class TestErrors:
         r = random_relation(2, 40, seed=2)
         p = StrippedPartition.from_relation(r, [0])
         assert 0.0 <= p.g1_error() <= 1.0
-
-
-class TestIntersection:
-    def test_intersect_matches_brute(self):
-        r = random_relation(4, 60, seed=11)
-        pa = StrippedPartition.from_relation(r, [0, 1])
-        pb = StrippedPartition.from_relation(r, [2, 3])
-        joint = pa.intersect(pb)
-        assert clusters_of(joint) == brute_partition(r, [0, 1, 2, 3])
-
-    def test_intersect_symmetric(self):
-        r = random_relation(3, 50, seed=13)
-        pa = StrippedPartition.from_relation(r, [0])
-        pb = StrippedPartition.from_relation(r, [1, 2])
-        assert clusters_of(pa.intersect(pb)) == clusters_of(pb.intersect(pa))
-
-    def test_intersect_with_empty(self):
-        r = Relation.from_rows([(i, 0) for i in range(6)], ["a", "b"])
-        pa = StrippedPartition.from_relation(r, [0])  # all singletons
-        pb = StrippedPartition.from_relation(r, [1])  # one big cluster
-        assert pa.n_clusters == 0
-        joint = pa.intersect(pb)
-        assert joint.n_clusters == 0
-        assert joint.entropy() == pytest.approx(math.log2(6))
-
-    def test_intersect_rejects_mismatched_n(self):
-        p1 = StrippedPartition.single_cluster(4)
-        p2 = StrippedPartition.single_cluster(5)
-        with pytest.raises(ValueError):
-            p1.intersect(p2)
-
-    def test_partition_product_multiway(self):
-        r = random_relation(4, 70, seed=17)
-        parts = [StrippedPartition.from_relation(r, [j]) for j in range(4)]
-        joint = partition_product(parts)
-        assert clusters_of(joint) == brute_partition(r, [0, 1, 2, 3])
-
-    def test_partition_product_empty_args(self):
-        with pytest.raises(ValueError):
-            partition_product([])
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10_000), rows=st.integers(2, 40))
-    def test_intersect_property(self, seed, rows):
-        r = random_relation(3, rows, seed=seed)
-        pa = StrippedPartition.from_relation(r, [0])
-        pb = StrippedPartition.from_relation(r, [1])
-        joint = pa.intersect(pb)
-        assert clusters_of(joint) == brute_partition(r, [0, 1])
-        # Product entropy >= both factor entropies (monotonicity).
-        assert joint.entropy() >= pa.entropy() - 1e-9
-        assert joint.entropy() >= pb.entropy() - 1e-9
 
 
 class TestRepr:

@@ -147,7 +147,7 @@ class TestSessionCache:
         try:
             with cache.lease("d1", fig1, engine="pli") as a:
                 pass
-            with cache.lease("d1", fig1, engine="naive") as b:
+            with cache.lease("d1", fig1, engine="approx") as b:
                 pass
             assert a is not b and len(cache) == 2
         finally:

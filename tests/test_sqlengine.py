@@ -1,12 +1,16 @@
-"""Tests for the SQL-query entropy engine (Section 6.3 verbatim)."""
+"""The Section 6.3 SQL-query engine as the fidelity reference.
+
+``SQLEntropyEngine`` renders the paper's CNT/TID queries verbatim; the
+counts-first engine every run uses must agree with it.
+"""
 
 import itertools
 
 import pytest
 
 from repro.core.miner import MVDMiner
-from repro.entropy.naive import NaiveEntropyEngine
-from repro.entropy.oracle import make_oracle
+from repro.entropy.oracle import EntropyOracle, make_oracle
+from repro.entropy.plicache import PLICacheEngine
 from repro.entropy.sqlengine import SQLEntropyEngine
 from tests.conftest import random_relation
 
@@ -16,15 +20,16 @@ def all_subsets(n):
         yield from (frozenset(c) for c in itertools.combinations(range(n), r))
 
 
-class TestAgainstNaive:
+class TestCountsEngineAgainstSQL:
+    @pytest.mark.parametrize("seed", [7, 8])
     @pytest.mark.parametrize("block_size", [1, 2, 10])
-    def test_all_subsets_agree(self, block_size):
-        r = random_relation(4, 40, seed=7)
-        naive = NaiveEntropyEngine(r)
+    def test_all_subsets_agree(self, block_size, seed):
+        r = random_relation(5, 60, seed=seed)
+        counts = PLICacheEngine(r)
         sql = SQLEntropyEngine(r, block_size=block_size)
-        for attrs in all_subsets(4):
-            assert sql.entropy_of(attrs) == pytest.approx(
-                naive.entropy_of(attrs), abs=1e-9
+        for attrs in all_subsets(5):
+            assert counts.entropy_of(attrs) == pytest.approx(
+                sql.entropy_of(attrs), abs=1e-9
             ), f"mismatch on {sorted(attrs)}"
 
     def test_fig1_paper_values(self, fig1):
@@ -52,13 +57,13 @@ class TestCaching:
         sql.entropy_of(frozenset({0, 1, 2}))
         assert sql.queries_run == runs  # tables reused, no new combines
 
-    def test_cross_cache_eviction_drops_tables(self):
+    def test_cross_block_prefix_tables_reused(self):
         r = random_relation(6, 30, seed=11)
-        sql = SQLEntropyEngine(r, block_size=2, cross_cache_size=1)
-        sql.entropy_of(frozenset({0, 2}))
-        sql.entropy_of(frozenset({1, 4}))
-        sql.entropy_of(frozenset({0, 5}))
-        assert len(sql._cross_tables) <= 1
+        sql = SQLEntropyEngine(r, block_size=2)
+        sql.entropy_of(frozenset({0, 2, 4}))
+        runs = sql.queries_run
+        sql.entropy_of(frozenset({0, 2}))  # a running union of the above
+        assert sql.queries_run == runs
 
     def test_block_size_validation(self):
         r = random_relation(2, 5, seed=0)
@@ -76,14 +81,13 @@ class TestCaching:
 
 class TestEndToEnd:
     def test_oracle_integration(self, fig1):
-        oracle = make_oracle(fig1, engine="sql")
-        assert isinstance(oracle.engine, SQLEntropyEngine)
+        oracle = EntropyOracle(fig1, SQLEntropyEngine(fig1))
         assert oracle.mutual_information({2, 5}, {1, 4}, {0, 3}) == pytest.approx(
             0.0, abs=1e-9
         )
 
     def test_mining_agrees_with_pli(self, fig1):
-        sql_result = MVDMiner(make_oracle(fig1, engine="sql")).mine(0.0)
+        sql_result = MVDMiner(EntropyOracle(fig1, SQLEntropyEngine(fig1))).mine(0.0)
         pli_result = MVDMiner(make_oracle(fig1, engine="pli")).mine(0.0)
         assert set(sql_result.mvds) == set(pli_result.mvds)
 
