@@ -35,7 +35,7 @@ from repro.entropy import (
     StrippedPartition,
     make_oracle,
 )
-from repro.exec import BatchEntropyOracle, ParallelEvaluator, PersistentEntropyCache
+from repro.exec import BatchEntropyOracle, PersistentEntropyCache
 from repro.delta import (
     Delta,
     RelationBuilder,
@@ -89,7 +89,6 @@ __all__ = [
     "StrippedPartition",
     "make_oracle",
     "BatchEntropyOracle",
-    "ParallelEvaluator",
     "PersistentEntropyCache",
     "Delta",
     "RelationBuilder",

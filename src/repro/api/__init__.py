@@ -20,7 +20,7 @@ surface they all compile into:
       >>> request = api.TaskRequest(
       ...     task="schemas",
       ...     spec=api.SchemasSpec(eps=0.01, top=5),
-      ...     engine=api.EngineSpec(workers=4),
+      ...     engine=api.EngineSpec(engine="approx"),
       ...     data=api.DataSpec(csv="data.csv"),
       ... )
       >>> result = api.run(request)

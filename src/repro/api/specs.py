@@ -3,12 +3,12 @@
 Every front door of the pipeline — the library (:class:`~repro.core.maimon.
 Maimon` / :func:`~repro.entropy.oracle.make_oracle`), the one-shot CLI, the
 HTTP serving layer and the bench harnesses — used to re-declare the same
-knobs (engine, workers, persist, eps, budget, top, objective, ...) with
+knobs (engine, persist, eps, budget, top, objective, ...) with
 subtly different validation.  This module is now the single place those
 knobs are *defined* and *validated*:
 
-* :class:`EngineSpec` — how entropies are computed (engine arm, worker
-  pool, persistent cache, delta tracking, sampling knobs);
+* :class:`EngineSpec` — how entropies are computed (engine arm,
+  persistent cache, delta tracking, sampling knobs);
 * :class:`DataSpec`   — where the relation comes from (a CSV path or a
   built-in Table 2 surrogate plus scale/row cap);
 * :class:`MineSpec` / :class:`SchemasSpec` / :class:`ProfileSpec` /
@@ -136,9 +136,6 @@ class EngineSpec(Spec):
         ``"pli"`` (default; exact, counts-first) or ``"approx"`` (sampled
         decisions with exact escalation) — see
         :func:`repro.entropy.oracle.make_oracle`.
-    workers:
-        Entropy worker processes.  For ``"approx"`` the pool serves the
-        exact escalation tier.
     persist, cache_dir:
         On-disk entropy cache; ``cache_dir`` is only meaningful with
         ``persist`` on, so setting it with ``persist=False`` is an error
@@ -167,7 +164,6 @@ class EngineSpec(Spec):
     """
 
     engine: str = "pli"
-    workers: int = 1
     persist: bool = False
     cache_dir: Optional[str] = None
     track_deltas: bool = False
@@ -181,8 +177,6 @@ class EngineSpec(Spec):
         _require(self.engine in ENGINES,
                  f"unknown engine {self.engine!r}; expected "
                  + ", ".join(repr(e) for e in ENGINES), field="engine")
-        _require(_is_int(self.workers) and self.workers >= 1,
-                 "'workers' must be an integer >= 1", field="workers")
         _require(isinstance(self.persist, bool),
                  "'persist' must be a boolean", field="persist")
         _require(self.cache_dir is None or isinstance(self.cache_dir, str),
@@ -250,8 +244,6 @@ class EngineSpec(Spec):
                 field="track_deltas",
             )
         engine = payload.get("engine", base.engine)
-        workers = _int_or_error(payload, "workers", base.workers,
-                                "'workers' must be an integer")
         persist = payload.get("persist", base.persist)
         if not isinstance(persist, bool):
             # No bool() coercion: bool("false") is True, which would
@@ -265,7 +257,6 @@ class EngineSpec(Spec):
                             field="estimator")
         return cls(
             engine=engine,
-            workers=workers,
             persist=persist,
             # Only meaningful when this request actually persists (and
             # required to be None otherwise by validate()).
@@ -347,7 +338,6 @@ class EngineSpec(Spec):
         return oracle_module.make_oracle(
             relation,
             engine=self.engine,
-            workers=self.workers,
             persist=self.persist,
             cache_dir=self.cache_dir,
             estimator=self.estimator,

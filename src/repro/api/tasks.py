@@ -108,11 +108,7 @@ def _execute_profile(maimon: Any, spec: ProfileSpec, engine: EngineSpec,
             maimon.relation,
             maimon.oracle,
             fd_lhs=spec.fd_lhs,
-            workers=engine.workers,
             budget=_effective_budget(spec, budget),
-            # Long-lived oracles share their worker pool with the FD search
-            # instead of mine_fds spawning one per call; None when serial.
-            executor=maimon.oracle.evaluator(),
         )
     return payload, payload
 

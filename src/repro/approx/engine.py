@@ -12,8 +12,8 @@ drive the miners — are made through the confidence intervals of
   *saturated* (support or Good-Turing missing mass too large for the
   interval model to hold; see :data:`SATURATION_SUPPORT`) -> **escalate**:
   re-evaluate that one comparison on an exact tier (a PLI oracle over the
-  full relation, batchable over a worker pool and persistable on disk,
-  built through ``make_oracle``) and decide on the exact value.
+  full relation, persistable on disk, built through ``make_oracle``) and
+  decide on the exact value.
 
 Escalation makes the mined output exact — every verdict the miners see is
 either interval-certain (and the interval contains the exact value with
@@ -99,7 +99,7 @@ class ApproxEntropyEngine(EntropyOracle):
         (distribution-free, wide — escalates far more).
     sample_method:
         ``"uniform"`` (default) or ``"stratified"`` row draw.
-    workers, persist, cache_dir:
+    persist, cache_dir:
         Configuration of the exact escalation tier, passed through to
         ``make_oracle(engine="pli", ...)``; the tier is built lazily on
         the first escalation, so sample-decided runs never pay for it.
@@ -119,7 +119,6 @@ class ApproxEntropyEngine(EntropyOracle):
         sample_seed: Optional[int] = None,
         bound: str = "clt",
         sample_method: str = "uniform",
-        workers: int = 1,
         persist: bool = False,
         cache_dir: Optional[str] = None,
     ):
@@ -146,9 +145,7 @@ class ApproxEntropyEngine(EntropyOracle):
         self.sample_method = sample_method
         self.estimator = estimator
         self._delta = 1.0 - self.confidence
-        self._exact_config = dict(
-            workers=workers, persist=persist, cache_dir=cache_dir
-        )
+        self._exact_config = dict(persist=persist, cache_dir=cache_dir)
         sample = get_sample(
             relation, self.sample_rows, seed=self.sample_seed, method=sample_method
         )
@@ -291,9 +288,9 @@ class ApproxEntropyEngine(EntropyOracle):
         """Decide ``I(Y; Z | X) > eps`` per triple; straddlers go exact.
 
         Escalated triples are re-evaluated as **one** batched call on the
-        exact tier, so a parallel/persistent tier amortises them the same
-        way :class:`~repro.exec.batch.BatchEntropyOracle` amortises any
-        MI batch.
+        exact tier, so a persistent tier amortises them the same way
+        :class:`~repro.exec.batch.BatchEntropyOracle` amortises any MI
+        batch.
         """
         if self._exhaustive:
             return super().mis_exceed(triples, eps)

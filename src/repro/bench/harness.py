@@ -291,13 +291,12 @@ def column_scalability(
 
 
 # --------------------------------------------------------------------- #
-# Exec subsystem — serial vs batched/parallel vs warm-cache mining
+# Exec subsystem — in-memory vs cold / warm on-disk entropy cache
 # --------------------------------------------------------------------- #
 
 def exec_scalability(
     name: str = "Image",
     fractions: Sequence[float] = (0.5, 1.0),
-    workers: Sequence[int] = (1, 2, 4),
     eps: float = 0.01,
     base_rows: int = 4000,
     max_cols: Optional[int] = 10,
@@ -307,112 +306,64 @@ def exec_scalability(
 ) -> Dict[str, object]:
     """The Fig. 13 row-scalability workload under the exec subsystem.
 
-    Runs ``mine_all_min_seps`` on row fractions of a dataset for each
-    worker count (``workers=1`` is the serial seed path) and, when
-    ``persist_dir`` is given, once more serially against a warm on-disk
-    entropy cache.  Returns a machine-readable payload (see
-    :func:`write_bench_json`) with per-run wall time, the oracle's logical
-    ``queries`` and engine ``evals`` counters, and serial-vs-parallel
-    speedups per row fraction.  ``cpu_count`` is recorded because process
-    pools cannot beat serial on single-core hosts.
+    Runs ``mine_all_min_seps`` on row fractions of a dataset with the plain
+    in-memory oracle (``serial``) and, when ``persist_dir`` is given,
+    twice more against the on-disk entropy cache: ``persist_cold`` fills
+    it, ``persist_warm`` reads it back.  Returns a machine-readable
+    payload (see :func:`write_bench_json`) with per-run wall time, the
+    oracle's logical ``queries`` and engine ``evals`` counters, and each
+    run's speedup over and separator parity with the serial run.
     """
     full = datasets.load(name, scale=1.0, max_rows=base_rows, max_cols=max_cols)
+    modes = [("serial", EngineSpec())]
+    if persist_dir is not None:
+        # Cold run fills the on-disk cache, warm run measures the skip.
+        persisted = EngineSpec(persist=True, cache_dir=persist_dir)
+        modes += [("persist_cold", persisted), ("persist_warm", persisted)]
     runs: List[Dict[str, object]] = []
-    serial_time: Dict[float, float] = {}
     for frac in fractions:
         k = max(32, int(round(full.n_rows * frac)))
         sub = full.sample_rows(k, seed=seed)
         baseline = None  # the full pair -> separators map of the serial run
-        for w in workers:
-            oracle = EngineSpec(workers=w).make_oracle(sub)
+        serial_time = 0.0
+        for mode, spec in modes:
+            oracle = spec.make_oracle(sub)
             budget = SearchBudget(max_seconds=time_limit_s).start()
             t0 = time.perf_counter()
             seps = mine_all_min_seps(oracle, eps, budget=budget)
             elapsed = time.perf_counter() - t0
             oracle.close()
-            n_seps = len({s for lst in seps.values() for s in lst})
-            if w == 1:
-                serial_time[frac] = elapsed
-                baseline = seps
-            runs.append(
-                {
-                    "mode": "parallel" if w > 1 else "serial",
-                    "rows": sub.n_rows,
-                    "frac": frac,
-                    "workers": w,
-                    "runtime_s": round(elapsed, 3),
-                    "min_seps": n_seps,
-                    "queries": oracle.queries,
-                    "evals": oracle.evals,
-                    "prefetched": getattr(oracle, "prefetched", 0),
-                    "speedup_vs_serial": (
-                        round(serial_time[frac] / elapsed, 3)
-                        if frac in serial_time and elapsed > 0
-                        else None
-                    ),
-                    # Exact parity: the same separators for the same pairs,
-                    # not just the same count.
-                    "matches_serial": None if baseline is None else seps == baseline,
-                    "timed_out": budget.exhausted,
-                }
-            )
-        if persist_dir is not None:
-            # Cold run fills the on-disk cache, warm run measures the skip.
-            for attempt in ("persist_cold", "persist_warm"):
-                oracle = EngineSpec(persist=True, cache_dir=persist_dir).make_oracle(sub)
-                budget = SearchBudget(max_seconds=time_limit_s).start()
-                t0 = time.perf_counter()
-                seps = mine_all_min_seps(oracle, eps, budget=budget)
-                elapsed = time.perf_counter() - t0
-                oracle.close()
-                n_seps = len({s for lst in seps.values() for s in lst})
-                runs.append(
-                    {
-                        "mode": attempt,
-                        "rows": sub.n_rows,
-                        "frac": frac,
-                        "workers": 1,
-                        "runtime_s": round(elapsed, 3),
-                        "min_seps": n_seps,
-                        "queries": oracle.queries,
-                        "evals": oracle.evals,
-                        "persist_hits": getattr(oracle, "persist_hits", 0),
-                        "speedup_vs_serial": (
-                            round(serial_time[frac] / elapsed, 3)
-                            if frac in serial_time and elapsed > 0
-                            else None
-                        ),
-                        "matches_serial": (
-                            None if baseline is None else seps == baseline
-                        ),
-                        "timed_out": budget.exhausted,
-                    }
-                )
-    best_parallel = {
-        f"frac={frac:g}": max(
-            (
-                r["speedup_vs_serial"]
-                for r in runs
-                if r["mode"] == "parallel"
-                and r["frac"] == frac
-                and r["speedup_vs_serial"] is not None
-            ),
-            default=None,
-        )
-        for frac in fractions
-    }
+            if baseline is None:
+                baseline, serial_time = seps, elapsed
+            run: Dict[str, object] = {
+                "mode": mode,
+                "rows": sub.n_rows,
+                "frac": frac,
+                "runtime_s": round(elapsed, 3),
+                "min_seps": len({s for lst in seps.values() for s in lst}),
+                "queries": oracle.queries,
+                "evals": oracle.evals,
+                "speedup_vs_serial": (
+                    round(serial_time / elapsed, 3) if elapsed > 0 else None
+                ),
+                # Exact parity: the same separators for the same pairs,
+                # not just the same count.
+                "matches_serial": seps == baseline,
+                "timed_out": budget.exhausted,
+            }
+            if spec.persist:
+                run["persist_hits"] = oracle.persist_hits
+            runs.append(run)
     return {
         "bench": "exec_scalability",
         "dataset": name,
         "eps": eps,
         "cpu_count": os.cpu_count(),
-        "workers": list(workers),
         "runs": runs,
-        "best_parallel_speedup": best_parallel,
         "note": (
-            "speedup_vs_serial compares each run to the workers=1 seed path "
-            "on the same rows; parallel speedup requires cpu_count > 1, "
-            "persist_warm speedup requires a warm cache directory"
+            "speedup_vs_serial compares each run to the in-memory serial "
+            "run on the same rows; persist_warm speedup requires a warm "
+            "cache directory"
         ),
     }
 

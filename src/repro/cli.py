@@ -24,9 +24,8 @@ Commands
                 serve lock discipline, hot-path set churn, spec/registry
                 drift, strict request parsing.
 
-All data commands take ``--workers N`` (parallel entropy evaluation over a
-process pool), ``--no-persist`` (disable the on-disk entropy cache) and
-``--cache-dir`` (cache location); see :mod:`repro.exec`.
+All data commands take ``--no-persist`` (disable the on-disk entropy
+cache) and ``--cache-dir`` (cache location); see :mod:`repro.exec`.
 
 Every data command compiles its argparse namespace into a
 :class:`repro.api.TaskRequest` — the same typed request contract the HTTP
@@ -42,9 +41,9 @@ Examples
     python -m repro schemas data.csv --eps 0.1 --top 5 --objective savings
     python -m repro schemas data.csv --eps 0.1 --dump-config job.json
     python -m repro schemas --config job.json
-    python -m repro profile data.csv --workers 4
+    python -m repro profile data.csv --fd-lhs 3
     python -m repro serve --port 8765
-    python -m repro bench --dataset Image --workers 1 2 4
+    python -m repro bench --dataset Image --base-rows 1500
     python -m repro datasets
 """
 
@@ -93,7 +92,6 @@ def _default(value, fallback):
 def _engine_spec(args) -> api.EngineSpec:
     return api.EngineSpec(
         engine=_default(args.engine, "pli"),
-        workers=_default(args.workers, 1),
         persist=not args.no_persist,
         cache_dir=args.cache_dir,
         estimator=_default(getattr(args, "estimator", None), "mle"),
@@ -560,7 +558,6 @@ def cmd_bench(args) -> int:
         payload = exec_scalability(
             name=args.dataset,
             fractions=tuple(args.fractions),
-            workers=tuple(args.workers_list),
             eps=args.eps,
             base_rows=args.base_rows,
             max_cols=args.max_cols,
@@ -575,8 +572,8 @@ def cmd_bench(args) -> int:
     table = Table(
         f"Exec scalability ({args.dataset}, eps={args.eps}, "
         f"cpus={payload['cpu_count']})",
-        ["mode", "rows", "workers", "runtime_s", "min_seps", "queries",
-         "evals", "speedup_vs_serial"],
+        ["mode", "rows", "runtime_s", "min_seps", "queries", "evals",
+         "speedup_vs_serial"],
     )
     for r in payload["runs"]:
         table.add(r)
@@ -792,11 +789,8 @@ def _engine_arg(p: argparse.ArgumentParser) -> None:
                    help="--engine approx: sampling seed (default 0)")
 
 
-def _exec_args(p: argparse.ArgumentParser, include_workers: bool = True) -> None:
+def _exec_args(p: argparse.ArgumentParser) -> None:
     """Flags of the repro.exec entropy execution subsystem."""
-    if include_workers:
-        p.add_argument("--workers", type=int, default=None,
-                       help="entropy worker processes (1 = serial, the default)")
     p.add_argument("--no-persist", action="store_true",
                    help="disable the on-disk entropy cache")
     p.add_argument("--cache-dir", default=None,
@@ -944,12 +938,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cols", type=int, default=10)
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--fractions", type=float, nargs="+", default=[0.5, 1.0])
-    p.add_argument("--workers", dest="workers_list", type=int, nargs="+",
-                   default=[1, 2, 4],
-                   help="worker counts to sweep (1 = serial baseline)")
     p.add_argument("--budget", type=float, default=60.0, help="seconds per run")
     p.add_argument("--json", default="BENCH_exec.json")
-    _exec_args(p, include_workers=False)
+    _exec_args(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("datasets", help="list built-in dataset surrogates")

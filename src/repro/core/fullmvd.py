@@ -76,29 +76,13 @@ def pairwise_consistent(
             return None
         violating = None
         deps = current.dependents
-        if oracle.prefers_batches and len(deps) > 2:
-            # One planned batch per round: all candidate pairs' I(Ci;Cj|S)
-            # terms ship to the pool together, and the *same* row-major
-            # first-violation rule keeps the merge sequence identical to
-            # the serial scan.  (Serially the early exit is cheaper, so
-            # this path is gated on the oracle's preference.)
-            index_pairs = [
-                (i, j) for i in range(len(deps)) for j in range(i + 1, len(deps))
-            ]
-            verdicts = oracle.mis_exceed(
-                [(deps[i], deps[j], key) for i, j in index_pairs], eps
-            )
-            violating = next(
-                (ij for ij, v in zip(index_pairs, verdicts) if v), None
-            )
-        else:
-            for i in range(len(deps)):
-                for j in range(i + 1, len(deps)):
-                    if oracle.mi_exceeds(deps[i], deps[j], key, eps):
-                        violating = (i, j)
-                        break
-                if violating:
+        for i in range(len(deps)):
+            for j in range(i + 1, len(deps)):
+                if oracle.mi_exceeds(deps[i], deps[j], key, eps):
+                    violating = (i, j)
                     break
+            if violating:
+                break
         if violating is None:
             return current
         if len(deps) == 2:

@@ -21,6 +21,7 @@ from repro.core.miner import MinerResult, MVDMiner
 from repro.core.mvd import MVD
 from repro.core.schema import Schema
 from repro.data.relation import Relation
+from repro.delta.builder import Delta
 from repro.entropy.oracle import EntropyOracle
 from repro.quality.metrics import SchemaQuality, evaluate_schema
 
@@ -48,8 +49,8 @@ class DiscoveredSchema:
 class Maimon:
     """End-to-end discovery of approximate acyclic schemas.
 
-    The engine-shaped keyword arguments (``engine``, ``workers``,
-    ``persist``, ``cache_dir``, ``track_deltas``) are a thin shim over
+    The engine-shaped keyword arguments (``engine``, ``persist``,
+    ``cache_dir``, ``track_deltas``) are a thin shim over
     :class:`repro.api.specs.EngineSpec` — the system-wide declarative
     engine contract shared by the CLI, the HTTP serving layer and config
     files.  Passing ``spec=EngineSpec(...)`` directly is equivalent and
@@ -66,7 +67,7 @@ class Maimon:
     spec:
         An :class:`~repro.api.specs.EngineSpec`; overrides the individual
         engine keyword arguments below when given.
-    engine, workers, persist, cache_dir, track_deltas:
+    engine, persist, cache_dir, track_deltas:
         See :class:`~repro.api.specs.EngineSpec` for meanings, defaults
         and the validation rules.
     oracle:
@@ -90,7 +91,6 @@ class Maimon:
         relation: Relation,
         engine: str = "pli",
         optimized: bool = True,
-        workers: int = 1,
         persist: bool = False,
         cache_dir=None,
         track_deltas: bool = False,
@@ -103,7 +103,6 @@ class Maimon:
         if spec is None:
             spec = EngineSpec(
                 engine=engine,
-                workers=workers,
                 persist=persist,
                 cache_dir=cache_dir,
                 track_deltas=track_deltas,
@@ -163,7 +162,7 @@ class Maimon:
     # Dataset evolution (repro.delta)
     # ------------------------------------------------------------------ #
 
-    def append_rows(self, rows) -> "Delta":
+    def append_rows(self, rows) -> Delta:
         """Append decoded rows and advance the warm state (see repro.delta).
 
         The relation is extended via incremental dictionary encoding, the
@@ -305,7 +304,7 @@ class Maimon:
         self._mvd_cache.clear()
 
     def close(self) -> None:
-        """Release oracle resources (worker pool, persistent cache)."""
+        """Release oracle resources (persistent cache)."""
         self.oracle.close()
 
     def __enter__(self) -> "Maimon":

@@ -66,7 +66,7 @@ def j_of_join_tree(
     """Eq. (6): ``sum H(bag) - sum H(separator) - H(all attributes)``.
 
     All H terms of a tree are issued as one batch, so scoring a schema
-    candidate is a single (deduped, possibly parallel) oracle call —
+    candidate is a single (deduped) oracle call —
     this is ASMiner's per-candidate scoring hot path.
     """
     bags = [attrset(b) for b in bags]

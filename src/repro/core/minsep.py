@@ -34,10 +34,6 @@ from repro.lattice import AttrSet, bits_of, mask_of
 
 Pair = Tuple[int, int]
 
-#: Sets per speculative prefetch batch: large enough to amortise a pool
-#: round trip, small enough that time budgets are honoured between batches.
-_PREFETCH_CHUNK = 192
-
 
 def reduce_min_sep(
     oracle: EntropyOracle,
@@ -57,29 +53,6 @@ def reduce_min_sep(
     arithmetic: each drop-candidate is one AND-NOT away.
     """
     start = mask_of(separator)
-    if oracle.prefers_batches:
-        # Speculative warm-up for the scan: each drop-candidate K is first
-        # probed through the finest MVD with key K, whose pairwise terms
-        # need H(K) and the one-attribute extensions H(K ∪ {y}).  Shipping
-        # them as parallel prefetches overlaps the engine work with the
-        # (inherently sequential) scan below; misses merely waste idle
-        # workers, never correctness.  Chunked so a time budget is checked
-        # every few hundred sets rather than after the whole warm-up.
-        omega_mask = oracle.omega.mask
-        sets: List[AttrSet] = []
-        for x in bits_of(start):
-            if budget is not None and budget.exhausted:
-                break
-            cand = start & ~(1 << x)
-            sets.append(AttrSet.from_mask(cand))
-            sets.extend(
-                AttrSet.from_mask(cand | (1 << y)) for y in bits_of(omega_mask & ~cand)
-            )
-            if len(sets) >= _PREFETCH_CHUNK:
-                oracle.prefetch(sets)
-                sets = []
-        if sets and not (budget is not None and budget.exhausted):
-            oracle.prefetch(sets)
     current = start
     for x in bits_of(start):
         candidate = current & ~(1 << x)
@@ -116,9 +89,7 @@ def iter_min_seps(
     # Fast gate (Fig. 5 line 3): the most favourable key is Omega - {A,B};
     # J(Omega-AB ->> A|B) = I(A; B | Omega-AB).  If even that exceeds eps,
     # no separator exists (Eq. 8).  The decision routes through the oracle
-    # (exact compare, or interval + escalation on the approx engine); the
-    # batched form still ships the four H terms together on a parallel
-    # oracle.
+    # (exact compare, or interval + escalation on the approx engine).
     if oracle.mis_exceed([({a}, {b}, universe)], eps)[0]:
         return
     found: set = set()
@@ -179,28 +150,6 @@ def mine_all_min_seps(
     n = oracle.n_attrs
     if pairs is None:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pairs = list(pairs)
-    if oracle.prefers_batches:
-        # All per-pair gates (Fig. 5 line 3) share Omega and need only
-        # H(U), H(U ∪ {a}), H(U ∪ {b}) with U = Omega - {a,b}: planned
-        # parallel prefetches replace the per-pair serial warm-up.
-        # Chunked with budget checks in between so a time-budgeted run is
-        # never blocked behind the whole O(n^2) warm-up.
-        omega = oracle.omega
-        sets: List[AttrSet] = [omega]
-        for a, b in pairs:
-            if budget.exhausted:
-                break
-            u = omega.mask & ~((1 << a) | (1 << b))
-            sets.extend(
-                AttrSet.from_mask(m)
-                for m in (u, u | (1 << a), u | (1 << b))
-            )
-            if len(sets) >= _PREFETCH_CHUNK:
-                oracle.prefetch(sets)
-                sets = []
-        if sets and not budget.exhausted:
-            oracle.prefetch(sets)
     out: Dict[Pair, List[AttrSet]] = {}
     for pair in pairs:
         if budget.exhausted:

@@ -108,11 +108,7 @@ class _FragmentOracle:
         )
 
     # Batched interface: clip to the fragment, delegate to the base oracle
-    # (which may plan/parallelise/persist; see repro.exec).
-
-    @property
-    def prefers_batches(self) -> bool:
-        return self._base.prefers_batches
+    # (which may plan/persist; see repro.exec).
 
     def entropies(self, requests):
         clipped = [attrset(a) & self._fragment for a in requests]
@@ -159,9 +155,6 @@ class _FragmentOracle:
         # (their key and dependents partition subsets of it), so no
         # clipping is needed — delegate the decision wholesale.
         return self._base.j_le(mvd, eps)
-
-    def prefetch(self, requests) -> int:
-        return self._base.prefetch(attrset(a) & self._fragment for a in requests)
 
     @property
     def queries(self) -> int:

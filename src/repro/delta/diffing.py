@@ -144,7 +144,7 @@ def _payload_kind(payload: dict) -> Optional[str]:
 # --------------------------------------------------------------------- #
 
 def _flatten_spec(spec, prefix: str = "") -> Dict[str, object]:
-    """``{"engine": {"workers": 4}}`` -> ``{"engine.workers": 4}``."""
+    """``{"engine": {"engine": "pli"}}`` -> ``{"engine.engine": "pli"}``."""
     flat: Dict[str, object] = {}
     if not isinstance(spec, dict):
         return flat
@@ -165,7 +165,7 @@ def provenance_mismatch(old: Optional[dict], new: dict) -> dict:
     — see :func:`repro.api.stamp_payload`.  A result diff between
     mismatched specs is usually comparing apples to oranges, so the
     mismatch is reported field by field (dotted keys, e.g.
-    ``engine.workers``); unstamped artefacts (pre-provenance files)
+    ``engine.engine``); unstamped artefacts (pre-provenance files)
     compare as absent fields.  Empty dict = no mismatch detected.
     """
     out: Dict[str, object] = {}

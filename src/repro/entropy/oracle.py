@@ -20,7 +20,7 @@ entropy H(X)").  Two counters are kept with distinct meanings:
   same number.
 * ``evals`` — **engine evaluations**, i.e. requests that missed the
   oracle-level memo and were handed to the engine (or, for the batched
-  subclass, to the worker pool / persistent cache).  ``queries - evals``
+  subclass, to the persistent cache).  ``queries - evals``
   is the work saved by memoisation and deduplication.
 
 Internally the memo is keyed by the raw :class:`~repro.lattice.AttrSet`
@@ -53,7 +53,7 @@ class EntropyOracle:
     and centralises the measure formulas and instrumentation.
 
     Subclasses (notably :class:`repro.exec.batch.BatchEntropyOracle`) keep
-    the exact same serial semantics and add planned, parallel and persistent
+    the exact same serial semantics and add planned and persistent
     evaluation behind the same interface; all mining code is written against
     this class only.
     """
@@ -162,17 +162,6 @@ class EntropyOracle:
     # Batched interface (serial reference implementations)
     # ------------------------------------------------------------------ #
 
-    @property
-    def prefers_batches(self) -> bool:
-        """Should callers restructure loops to hand over whole batches?
-
-        ``False`` here: batching brings nothing to the serial oracle, and
-        the adaptive search loops are cheaper with early exits.  The
-        parallel subclass returns ``True`` so hot paths switch to their
-        collect-then-evaluate form.
-        """
-        return False
-
     def entropies(self, requests: Iterable[AttrsLike]) -> Dict[AttrSet, float]:
         """``H`` of every requested set, as ``{attr set: bits}``.
 
@@ -188,16 +177,6 @@ class EntropyOracle:
         """``I(Y; Z | X)`` for every ``(ys, zs, xs)`` triple, in order."""
         return [self.mutual_information(ys, zs, xs) for ys, zs, xs in triples]
 
-    def prefetch(self, requests: Iterable[AttrsLike]) -> int:
-        """Hint that the sets *may* be needed soon; returns #evaluated.
-
-        The serial oracle ignores hints (speculative work would only slow
-        it down).  The parallel subclass evaluates missing sets across its
-        worker pool without touching the ``queries`` counter — prefetched
-        sets are speculation, not logical requests.
-        """
-        return 0
-
     # ------------------------------------------------------------------ #
     # Convenience
     # ------------------------------------------------------------------ #
@@ -210,15 +189,6 @@ class EntropyOracle:
     def omega(self) -> AttrSet:
         """The full attribute set ``Omega`` as column indices."""
         return self._omega
-
-    def evaluator(self):
-        """The oracle's shared parallel evaluator, if it runs one.
-
-        ``None`` for the serial oracle; the batched subclass returns its
-        live worker pool so co-located work (e.g. the serving layer's FD
-        profiling) can reuse it instead of spawning a pool per call.
-        """
-        return None
 
     # ------------------------------------------------------------------ #
     # Dataset evolution (repro.delta)
@@ -320,7 +290,7 @@ class EntropyOracle:
             self.engine.reset_stats()
 
     def close(self) -> None:
-        """Release external resources (worker pools, cache files).
+        """Release external resources (cache files).
 
         The serial oracle holds none; exists so callers can treat every
         oracle uniformly."""
@@ -335,7 +305,6 @@ class EntropyOracle:
 def make_oracle(
     relation: Relation,
     engine: str = "pli",
-    workers: int = 1,
     persist: bool = False,
     cache_dir=None,
     estimator: str = "mle",
@@ -359,15 +328,11 @@ def make_oracle(
 
     Parameters
     ----------
-    workers:
-        With ``workers > 1`` a :class:`repro.exec.batch.BatchEntropyOracle`
-        is returned whose batch calls fan out over a process pool (results
-        agree with the serial oracle within :data:`repro.common.TOL`).
-        For ``engine="approx"`` the pool serves the exact escalation tier.
     persist:
         Cache entropies on disk keyed by a fingerprint of the relation, so
-        repeated runs on the same data skip recomputation.  ``cache_dir``
-        overrides the default cache location (see
+        repeated runs on the same data skip recomputation (a
+        :class:`repro.exec.batch.BatchEntropyOracle` is returned).
+        ``cache_dir`` overrides the default cache location (see
         :mod:`repro.exec.persist`).  For ``engine="approx"`` persistence
         applies to the exact escalation tier (sampled estimates are cheap
         and never cached on disk).
@@ -384,7 +349,6 @@ def make_oracle(
 
     EngineSpec(
         engine=engine,
-        workers=workers,
         persist=persist,
         cache_dir=cache_dir,
         estimator=estimator,
@@ -403,19 +367,17 @@ def make_oracle(
             confidence=confidence,
             estimator=estimator,
             sample_seed=sample_seed,
-            workers=workers,
             persist=persist,
             cache_dir=cache_dir,
         )
     eng = PLICacheEngine(relation)
-    if workers > 1 or persist:
+    if persist:
         # Imported lazily: repro.exec builds on this module.
         from repro.exec.batch import BatchEntropyOracle
 
         return BatchEntropyOracle(
             relation,
             engine=eng,
-            workers=workers,
             persist=persist,
             cache_dir=cache_dir,
         )

@@ -97,17 +97,6 @@ class StrippedPartition:
         ids, n_groups = relation.group_ids(attrs)
         return cls.from_group_ids(ids, n_groups, relation.n_rows)
 
-    @classmethod
-    def single_cluster(cls, n_rows: int) -> "StrippedPartition":
-        """The partition of the empty attribute set: one cluster of all rows."""
-        if n_rows < 2:
-            return cls(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), n_rows)
-        return cls(
-            np.arange(n_rows, dtype=np.int64),
-            np.array([0, n_rows], dtype=np.int64),
-            n_rows,
-        )
-
     # ------------------------------------------------------------------ #
     # Basic accessors
     # ------------------------------------------------------------------ #
@@ -139,7 +128,7 @@ class StrippedPartition:
         return self.n_rows - self.size
 
     # ------------------------------------------------------------------ #
-    # Entropy and FD error
+    # Entropy
     # ------------------------------------------------------------------ #
 
     def entropy(self) -> float:
@@ -158,49 +147,6 @@ class StrippedPartition:
                 # Clamp tiny negative float residue (H is mathematically >= 0).
                 self._entropy = max(0.0, math.log2(n) - s / n)
         return self._entropy
-
-    def g1_error(self) -> float:
-        """Kivinen–Mannila style ``g1``-flavoured error of "X is a key".
-
-        Fraction of *pairs* of tuples that agree on X:
-        ``sum_c |c|*(|c|-1) / (N*(N-1))``.  Used by the approximate-UCC/FD
-        baseline measures (Section 1 related work)."""
-        n = self.n_rows
-        if n < 2:
-            return 0.0
-        sizes = self.cluster_sizes().astype(np.float64)
-        return float(np.dot(sizes, sizes - 1.0)) / (n * (n - 1.0))
-
-    def g3_key_error(self) -> float:
-        """``g3`` error of "X is a key": min fraction of tuples to remove."""
-        n = self.n_rows
-        if n == 0:
-            return 0.0
-        sizes = self.cluster_sizes()
-        # Keep one representative per cluster; remove the rest.
-        return float(sizes.sum() - len(sizes)) / n
-
-    # ------------------------------------------------------------------ #
-    # FD refinement
-    # ------------------------------------------------------------------ #
-
-    def refines_group_ids(self, target_ids: np.ndarray) -> bool:
-        """Does every cluster map into a single group of ``target_ids``?
-
-        This is the standard PLI test for an exact FD ``X -> A`` where
-        ``self`` is the partition of X and ``target_ids`` groups by X∪{A}
-        representatives; used by the TANE substrate.
-
-        Vectorized: a cluster maps into one group iff every member agrees
-        with the cluster's first member, so one gather plus one broadcast
-        comparison checks all clusters at once (no per-cluster ``np.unique``
-        loop).
-        """
-        if self.n_clusters == 0:
-            return True
-        values = np.asarray(target_ids)[self.tids]
-        firsts = np.repeat(values[self.offsets[:-1]], np.diff(self.offsets))
-        return bool(np.array_equal(values, firsts))
 
     def __repr__(self) -> str:
         return (

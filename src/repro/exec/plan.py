@@ -18,17 +18,13 @@ sees the batch:
   keeps an LRU of composed mixed-radix prefix keys — siblings like
   ``{0,1,2}`` then ``{0,1,3}`` re-use the composed ``(0,1)`` key column
   instead of recomposing it, which is the batch-aware sharing the
-  counts-first fast path banks on;
-* **sharding** — for the process pool, the ordered list is cut into
-  *contiguous* chunks of roughly equal estimated cost.  Contiguity keeps
-  lattice-adjacent sets on the same worker, where they share that worker's
-  partition cache; cost balancing keeps the pool busy until the end.
+  counts-first fast path banks on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Tuple
 
 from repro.lattice import AttrSet, mask_of
 from repro.obs.trace import span
@@ -79,48 +75,6 @@ def plan_entropy_requests(requests: Iterable[Iterable[int]]) -> ExecutionPlan:
             sorted(map(AttrSet.from_mask, unique), key=containment_key)
         )
         return ExecutionPlan(logical=logical, unique=ordered)
-
-
-def estimated_cost(attrs) -> int:
-    """Relative cost proxy for evaluating ``H(attrs)``.
-
-    One key-composition pass per attribute beyond the first, plus a
-    constant for the count; exact weights do not matter, only that bigger
-    sets load a shard more.
-    """
-    return 1 + len(attrs)
-
-
-def shard(sets: Sequence[AttrSet], n_shards: int) -> List[List[AttrSet]]:
-    """Cut a containment-ordered batch into contiguous balanced shards.
-
-    Returns at most ``n_shards`` non-empty lists whose concatenation is
-    ``sets``.  Balancing is greedy on :func:`estimated_cost`: each cut is
-    placed once the running cost reaches an equal share of the remainder.
-    """
-    n_shards = max(1, int(n_shards))
-    sets = list(sets)
-    if n_shards == 1 or len(sets) <= 1:
-        return [sets] if sets else []
-    total = sum(estimated_cost(s) for s in sets)
-    shards: List[List[AttrSet]] = []
-    current: List[AttrSet] = []
-    spent = 0
-    acc = 0
-    for s in sets:
-        current.append(s)
-        acc += estimated_cost(s)
-        remaining_shards = n_shards - len(shards)
-        target = (total - spent) / remaining_shards if remaining_shards else acc
-        # Close the shard once it carries its share, unless it must absorb
-        # the tail (fewer remaining sets than remaining shards is fine).
-        if acc >= target and len(shards) < n_shards - 1:
-            shards.append(current)
-            spent += acc
-            current, acc = [], 0
-    if current:
-        shards.append(current)
-    return shards
 
 
 def mi_entropy_sets(

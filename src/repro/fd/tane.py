@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common import attrset
 from repro.core.budget import SearchBudget
@@ -65,37 +65,10 @@ def fd_holds(relation: Relation, lhs: Iterable[int], rhs: int, error: float = 0.
     return g3_error(relation, lhs, rhs) <= error + 1e-12
 
 
-def _batch_g3(
-    relation: Relation,
-    requests: List[Tuple[int, int]],
-    executor=None,
-) -> Dict[Tuple[int, int], float]:
-    """g3 errors for a whole lattice level in one call.
-
-    Requests and result keys are ``(lhs bitmask, rhs)`` pairs.  With an
-    executor (:class:`repro.exec.pool.ParallelEvaluator`) the level fans
-    out across the worker pool; without one it is a plain serial loop with
-    identical results.
-    """
-    if executor is not None and requests:
-        by_key = executor.g3_errors(
-            [(tuple(bits_of(lhs)), rhs) for lhs, rhs in requests]
-        )
-        return {
-            (lhs, rhs): by_key[(tuple(bits_of(lhs)), rhs)] for lhs, rhs in requests
-        }
-    return {
-        (lhs, rhs): g3_error(relation, AttrSet.from_mask(lhs), rhs)
-        for lhs, rhs in requests
-    }
-
-
 def mine_fds(
     relation: Relation,
     error: float = 0.0,
     max_lhs: Optional[int] = None,
-    workers: int = 1,
-    executor=None,
     budget: Optional[SearchBudget] = None,
 ) -> List[FD]:
     """All minimal FDs of the relation with ``g3 <= error``.
@@ -108,14 +81,6 @@ def mine_fds(
         g3 threshold; 0 mines exact FDs.
     max_lhs:
         Optional cap on left-hand-side size (level cutoff).
-    workers:
-        With ``workers > 1`` each level's validity checks are evaluated in
-        parallel over a :class:`repro.exec.pool.ParallelEvaluator` (results
-        are identical; candidate generation per node depends only on the
-        previous level, so level-wise batching is semantics-preserving).
-    executor:
-        Pass an existing evaluator instead of building one from
-        ``workers`` (the CLI shares one across commands).
     budget:
         Optional search budget checked at every level boundary; when it
         trips (deadline or a serving-layer cancellation) the FDs of the
@@ -123,32 +88,10 @@ def mine_fds(
         minimal, the deeper levels simply unexplored.
 
     Returns FDs sorted by (|lhs|, lhs, rhs).  ``{} -> A`` is reported for
-    (near-)constant columns.
-    """
-    own_executor = None
-    if executor is None and workers > 1:
-        from repro.exec.pool import ParallelEvaluator
-
-        executor = own_executor = ParallelEvaluator(relation, workers=workers)
-    try:
-        return _mine_fds_levelwise(relation, error, max_lhs, executor, budget)
-    finally:
-        if own_executor is not None:
-            own_executor.close()
-
-
-def _mine_fds_levelwise(
-    relation: Relation,
-    error: float,
-    max_lhs: Optional[int],
-    executor,
-    budget: Optional[SearchBudget] = None,
-) -> List[FD]:
-    """Levelwise TANE search with the lattice encoded as raw bitmasks.
-
-    Nodes, C+ sets and g3 request keys are all plain-int masks — the
-    classic TANE bitset layout — so candidate generation and the C+
-    prunings are single AND/OR/NOT operations.
+    (near-)constant columns.  The lattice is encoded as raw bitmasks:
+    nodes and C+ sets are plain-int masks — the classic TANE bitset
+    layout — so candidate generation and the C+ prunings are single
+    AND/OR/NOT operations.
     """
     n = relation.n_cols
     omega = (1 << n) - 1
@@ -158,10 +101,9 @@ def _mine_fds_levelwise(
     # C+ sets: cplus[X] = bitmask of candidate rhs attributes for lhs ⊆ X.
     cplus: Dict[int, int] = {0: omega}
 
-    # Level 0: constant columns ({} -> A), checked as one batch.
-    g3 = _batch_g3(relation, [(0, a) for a in range(n)], executor)
+    # Level 0: constant columns ({} -> A).
     for a in range(n):
-        err = g3[(0, a)]
+        err = g3_error(relation, AttrSet.from_mask(0), a)
         if err <= error + 1e-12:
             results.append(FD(AttrSet.from_mask(0), a, err))
             cplus[0] &= ~(1 << a)
@@ -176,21 +118,13 @@ def _mine_fds_levelwise(
     while level and size <= max_lhs + 1:
         if budget is not None and budget.exhausted:
             break  # return the completed levels (all individually valid)
-        # Collect the level's candidate FDs up front and evaluate their g3
-        # errors as one batch.  Per node the candidate list is fixed by the
-        # previous level (C+ edits inside a node never add candidates), so
-        # this is exactly the work the serial scan would do.
-        candidates: List[Tuple[int, int]] = []
-        for x in level:
-            candidates.extend((x & ~(1 << a), a) for a in bits_of(x & cplus[x]))
-        g3 = _batch_g3(relation, candidates, executor)
         next_cplus: Dict[int, int] = {}
         for x in level:
             cx = cplus[x]
             # Candidate FDs at this node: (X \ {A}) -> A for A in X ∩ C+(X).
             for a in bits_of(x & cx):
                 lhs = x & ~(1 << a)
-                err = g3[(lhs, a)]
+                err = g3_error(relation, AttrSet.from_mask(lhs), a)
                 if err <= error + 1e-12:
                     results.append(FD(AttrSet.from_mask(lhs), a, err))
                     # TANE pruning: drop A, and remove attributes outside X

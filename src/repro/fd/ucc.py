@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import FrozenSet, List, Optional, Sequence
 
 from repro.common import attrset
 from repro.data.relation import Relation

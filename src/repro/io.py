@@ -189,9 +189,7 @@ def profile_to_dict(
     relation,
     oracle,
     fd_lhs: int = 2,
-    workers: int = 1,
     budget=None,
-    executor=None,
 ) -> dict:
     """The ``profile`` artefact: per-column entropies plus minimal FDs.
 
@@ -200,9 +198,7 @@ def profile_to_dict(
     left-hand side.  An optional :class:`~repro.core.budget.SearchBudget`
     bounds the FD search (serving-layer deadlines/cancellation); when it
     trips, the profile is returned with the completed FD levels and
-    ``truncated: true``.  ``executor`` lets long-lived callers share an
-    existing parallel evaluator (e.g. ``oracle.evaluator()``) instead of
-    ``mine_fds`` spawning a pool per call.
+    ``truncated: true``.
     """
     import math
 
@@ -222,10 +218,7 @@ def profile_to_dict(
         )
     fds = [
         fd.format(relation.columns)
-        for fd in mine_fds(
-            relation, max_lhs=fd_lhs, workers=workers, budget=budget,
-            executor=executor,
-        )
+        for fd in mine_fds(relation, max_lhs=fd_lhs, budget=budget)
         if fd.lhs
     ]
     return {

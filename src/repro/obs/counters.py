@@ -13,8 +13,8 @@ group      counters
 oracle     ``oracle.queries`` (logical H() requests, cache hits
            included), ``oracle.evals`` (requests that reached the
            engine) — always present.
-exec       ``exec.persist_hits``, ``exec.prefetched`` — batch oracles
-           (persisted-entropy hits, cross-batch prefetches).
+exec       ``exec.persist_hits`` — batch oracles (persisted-entropy
+           hits).
 approx     ``approx.escalations`` (decisions re-decided exactly),
            ``approx.exact_evals`` (full-relation entropies those cost)
            — the sampled engine.
@@ -51,7 +51,6 @@ from typing import Any, Dict, Mapping, Optional
 #: Attributes lifted off the oracle itself -> their namespaced keys.
 _ORACLE_EXTRAS = (
     ("persist_hits", "exec.persist_hits"),
-    ("prefetched", "exec.prefetched"),
     ("escalations", "approx.escalations"),
     ("exact_evals", "approx.exact_evals"),
 )

@@ -20,9 +20,7 @@ call.  Kernels guard even that by reading :data:`ACTIVE` themselves::
 
 Tracing is enabled per request with :class:`start_trace` (what
 ``execute_task`` does when ``EngineSpec.trace`` is set).  The active
-trace is thread-local, so concurrent serve jobs trace independently;
-process-pool workers are separate interpreters and stay untraced (their
-time shows up inside the parent's ``pool`` span).
+trace is thread-local, so concurrent serve jobs trace independently.
 """
 
 from __future__ import annotations

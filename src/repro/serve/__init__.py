@@ -1,14 +1,14 @@
 """``repro.serve`` — a long-lived mining service over warm sessions.
 
 Every one-shot CLI invocation pays the full startup bill: parse the CSV,
-rebuild entropy caches, respawn the exec worker pool, reopen the persistent
-entropy cache.  This package amortises all of that across requests, the
-way interactive query systems do:
+rebuild entropy caches, reopen the persistent entropy cache.  This package
+amortises all of that across requests, the way interactive query systems
+do:
 
 * :mod:`~repro.serve.registry` — datasets load once, keyed by the
   ``repro.exec.persist`` relation fingerprint;
 * :mod:`~repro.serve.session` — warm :class:`~repro.core.maimon.Maimon`
-  instances (oracle memo + engine caches + pool + persistent cache) with
+  instances (oracle memo + engine caches + persistent cache) with
   LRU eviction and a per-session lock serialising concurrent requests;
 * :mod:`~repro.serve.jobs` — a bounded job pool with budget-enforced
   per-request deadlines, polling and cooperative cancellation;

@@ -77,8 +77,8 @@ class MiningService:
     defaults:
         The server's default :class:`~repro.api.specs.EngineSpec`;
         requests override its fields per call.  The legacy keyword
-        arguments (``engine``, ``workers``, ``persist``, ``cache_dir``)
-        build one when ``defaults`` is not given.
+        arguments (``engine``, ``persist``, ``cache_dir``) build one when
+        ``defaults`` is not given.
     metrics:
         The :class:`~repro.obs.registry.MetricsRegistry` to publish on.
         Each service builds its own by default so embedded services and
@@ -101,7 +101,6 @@ class MiningService:
         job_workers: int = 4,
         max_request_seconds: Optional[float] = DEFAULT_MAX_REQUEST_SECONDS,
         engine: str = "pli",
-        workers: int = 1,
         persist: bool = False,
         cache_dir: Optional[str] = None,
         defaults: Optional[EngineSpec] = None,
@@ -124,8 +123,7 @@ class MiningService:
         self.max_request_seconds = max_request_seconds
         if defaults is None:
             defaults = EngineSpec(
-                engine=engine, workers=workers, persist=persist,
-                cache_dir=cache_dir,
+                engine=engine, persist=persist, cache_dir=cache_dir,
             )
         try:
             self.defaults = defaults.validate()

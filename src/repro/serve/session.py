@@ -1,8 +1,8 @@
 """Warm mining sessions: one long-lived ``Maimon`` per dataset+config.
 
 The whole point of the serving layer is that the expensive state — the
-oracle memo, the kernels' composed-prefix cache, the exec worker pool and
-the on-disk entropy cache — survives across requests.  A :class:`Session`
+oracle memo, the kernels' composed-prefix cache and the on-disk entropy
+cache — survives across requests.  A :class:`Session`
 owns exactly that state (a configured :class:`~repro.core.maimon.Maimon`),
 and the :class:`SessionCache` hands sessions out keyed by
 ``(dataset fingerprint, engine parameters)`` with LRU eviction.
@@ -28,11 +28,11 @@ from repro.data.relation import Relation
 from repro.obs.registry import Histogram, TimedLock
 
 #: Hashable session key: dataset fingerprint + the EngineSpec knobs that
-#: change oracle state (engine, workers, persistence location, and — for
+#: change oracle state (engine, persistence location, and — for
 #: the approx engine — estimator and sampling knobs; two configs that
 #: could return different numbers must never share a warm oracle).
 SessionKey = Tuple[
-    str, str, int, bool, Optional[str],
+    str, str, bool, Optional[str],
     str, Optional[int], Optional[float], Optional[int],
 ]
 
@@ -115,7 +115,7 @@ class SessionCache:
     @staticmethod
     def _session_key(dataset_id: str, spec: EngineSpec) -> SessionKey:
         """The one place a :data:`SessionKey` is built (from an EngineSpec)."""
-        return (dataset_id, spec.engine, spec.workers, spec.persist,
+        return (dataset_id, spec.engine, spec.persist,
                 spec.cache_dir, spec.estimator,
                 spec.sample_rows, spec.confidence, spec.sample_seed)
 
@@ -143,8 +143,8 @@ class SessionCache:
         """Get (or build) the warm session for a dataset+config and pin it.
 
         The config is an :class:`~repro.api.specs.EngineSpec` (preferred)
-        or the equivalent keyword arguments (``engine``, ``workers``,
-        ``persist``, ``cache_dir``).  Callers must pair
+        or the equivalent keyword arguments (``engine``, ``persist``,
+        ``cache_dir``).  Callers must pair
         this with :meth:`release`; prefer the :meth:`lease` context
         manager.  Building the ``Maimon`` happens outside any per-session
         lock, but under the cache lock — sessions are cheap to construct
@@ -203,7 +203,7 @@ class SessionCache:
         If an *idle* warm session exists for ``(parent dataset, config)``,
         it is unlinked from the parent key, its ``Maimon`` is advanced
         through delta maintenance (under the session lock), and it is
-        re-inserted under the child key — the memo, engine and pool state
+        re-inserted under the child key — the memo and engine state
         survive the append.  A parent session that is currently leased (a
         request is mid-flight on the old version) is left alone and the
         child starts cold; the old version keeps serving consistently.
@@ -288,7 +288,7 @@ class SessionCache:
             }
 
     def close(self) -> None:
-        """Close every session (stops pools, flushes persistent caches)."""
+        """Close every session (flushes persistent caches)."""
         with self._lock:
             sessions = list(self._sessions.values())
             self._sessions.clear()
@@ -308,9 +308,9 @@ class SessionCache:
 
         Only the bookkeeping happens under the cache lock; the returned
         sessions are closed by the caller *after* releasing it — closing a
-        Maimon can mean a process-pool shutdown and a cache flush, and
-        holding the global lock through that would stall every other
-        request (and /healthz) for the duration.
+        Maimon can mean a cache flush to disk, and holding the global lock
+        through that would stall every other request (and /healthz) for
+        the duration.
         """
         evicted = []
         if len(self._sessions) <= self.capacity:

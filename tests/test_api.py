@@ -56,7 +56,6 @@ _tops = st.integers(min_value=0, max_value=100)
 engine_specs = st.builds(
     EngineSpec,
     engine=st.sampled_from(api.ENGINES),
-    workers=st.integers(min_value=1, max_value=16),
     persist=st.booleans(),
     cache_dir=st.none() | st.text(min_size=1, max_size=24),
     track_deltas=st.booleans(),
@@ -65,7 +64,6 @@ engine_specs = st.builds(
 #: Engine specs that also pass validate() (for TaskRequest round-trips).
 valid_engine_specs = st.builds(
     EngineSpec,
-    workers=st.integers(min_value=1, max_value=16),
     persist=st.booleans(),
 ).map(lambda s: s if s.persist else s.replace(cache_dir=None))
 
@@ -128,7 +126,7 @@ class TestRoundTrips:
 
     def test_from_dict_defaults_missing_fields(self):
         assert MineSpec.from_dict({}) == MineSpec()
-        assert EngineSpec.from_dict({"workers": 4}) == EngineSpec(workers=4)
+        assert EngineSpec.from_dict({"persist": True}) == EngineSpec(persist=True)
 
 
 # --------------------------------------------------------------------- #
@@ -140,7 +138,7 @@ class TestValidation:
         with pytest.raises(SpecError, match="sample_rows"):
             EngineSpec(engine="pli", sample_rows=100).validate()
         with pytest.raises(SpecError, match="confidence"):
-            EngineSpec(engine="pli", workers=2, confidence=0.9).validate()
+            EngineSpec(engine="pli", persist=True, confidence=0.9).validate()
 
     def test_cache_dir_requires_persist(self):
         with pytest.raises(SpecError, match="cache_dir"):
@@ -155,14 +153,14 @@ class TestValidation:
         from repro.entropy.oracle import make_oracle
 
         with pytest.raises(SpecError, match="engine"):
-            Maimon(fig1, engine="naive", workers=4)
+            Maimon(fig1, engine="naive")
         with pytest.raises(SpecError, match="sample_rows"):
             make_oracle(fig1, engine="pli", sample_rows=100)
         with pytest.raises(SpecError, match="cache_dir"):
             Maimon(fig1, persist=False, cache_dir="/tmp/x")
 
     def test_maimon_records_its_spec(self, fig1):
-        maimon = Maimon(fig1, workers=1)
+        maimon = Maimon(fig1, engine="pli")
         assert maimon.spec == EngineSpec()
         maimon.close()
 
@@ -202,9 +200,9 @@ class TestValidation:
             for payload, field in [
                 ({"sample_rows": 100}, "sample_rows"),
                 ({"eps": -1}, "eps"),
-                ({"workers": "abc"}, "workers"),
+                ({"sample_seed": "abc"}, "sample_seed"),
                 ({"eps": True}, "eps"),       # bools never coerce to numbers
-                ({"workers": 2.9}, "workers"),  # no silent truncation
+                ({"sample_rows": 2.9}, "sample_rows"),  # no silent truncation
             ]:
                 with pytest.raises(ServiceError) as err:
                     service.submit_mine(
@@ -258,6 +256,7 @@ class TestValidation:
 REMOVED_KNOBS = [
     ({"block_size": 10}, "block_size"),
     ({"engine": "naive"}, "engine"),
+    ({"workers": 2}, "workers"),
 ]
 
 

@@ -93,11 +93,6 @@ class TestEngineSpecValidation:
             EngineSpec(engine="approx", **{field: value}).validate()
         assert exc.value.field == field
 
-    @pytest.mark.parametrize("engine", ["pli", "approx"])
-    def test_workers_allowed_with_every_engine(self, engine):
-        # For approx, workers feed the exact escalation tier.
-        EngineSpec(engine=engine, workers=2).validate()
-
     def test_round_trip_preserves_sampling_knobs(self):
         spec = EngineSpec(engine="approx", sample_rows=777,
                           confidence=0.99, sample_seed=5)

@@ -126,7 +126,7 @@ class TestSessionAdvance:
             warm_maimon = s.maimon
         session, warm, stats = cache.advance(
             parent.dataset_id, child.dataset_id, child.relation, delta,
-            engine="pli", workers=1, persist=False, cache_dir=None,
+            engine="pli", persist=False, cache_dir=None,
         )
         try:
             assert warm is True
@@ -142,7 +142,7 @@ class TestSessionAdvance:
         cache = SessionCache(capacity=4)
         session, warm, stats = cache.advance(
             parent.dataset_id, child.dataset_id, child.relation, delta,
-            engine="pli", workers=1, persist=False, cache_dir=None,
+            engine="pli", persist=False, cache_dir=None,
         )
         try:
             assert warm is False and stats == {}
@@ -158,7 +158,7 @@ class TestSessionAdvance:
         try:
             session, warm, _ = cache.advance(
                 parent.dataset_id, child.dataset_id, child.relation, delta,
-                engine="pli", workers=1, persist=False, cache_dir=None,
+                engine="pli", persist=False, cache_dir=None,
             )
             try:
                 assert warm is False
@@ -194,7 +194,7 @@ class TestSessionAdvance:
         try:
             session, warm, _ = cache.advance(
                 parent.dataset_id, child.dataset_id, child.relation, delta,
-                engine="pli", workers=1, persist=False, cache_dir=None,
+                engine="pli", persist=False, cache_dir=None,
             )
             try:
                 assert warm is False

@@ -1,4 +1,4 @@
-"""Tests for the batched + parallel entropy execution subsystem."""
+"""Tests for the batched + persistent entropy execution subsystem."""
 
 import itertools
 import json
@@ -13,21 +13,13 @@ from repro.entropy.oracle import EntropyOracle, make_oracle
 from repro.entropy.plicache import PLICacheEngine
 from repro.exec.batch import BatchEntropyOracle
 from repro.exec.persist import PersistentEntropyCache, relation_fingerprint
-from repro.exec.plan import (
-    estimated_cost,
-    mi_entropy_sets,
-    plan_entropy_requests,
-    shard,
-)
-from repro.exec.pool import ParallelEvaluator
-from repro.fd.tane import mine_fds
+from repro.exec.plan import mi_entropy_sets, plan_entropy_requests
 from repro.reference import entropy_by_counting
 from tests.conftest import random_relation
 
 
-def all_subsets(n, max_size=None):
-    max_size = n if max_size is None else max_size
-    for r in range(max_size + 1):
+def all_subsets(n):
+    for r in range(n + 1):
         yield from (frozenset(c) for c in itertools.combinations(range(n), r))
 
 
@@ -36,15 +28,15 @@ def all_subsets(n, max_size=None):
 # --------------------------------------------------------------------- #
 
 class TestParity:
-    """The exact engine and the batch oracle (serial and parallel) must
-    agree with brute-force counting within TOL on random relations."""
+    """The exact engine and the batch oracle must agree with brute-force
+    counting within TOL on random relations."""
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2000), rows=st.integers(2, 60))
     def test_engines_and_serial_batch_agree(self, seed, rows):
         r = random_relation(4, rows, seed=seed)
         pli = PLICacheEngine(r)
-        batch = BatchEntropyOracle(r, workers=1)
+        batch = BatchEntropyOracle(r)
         sets = list(all_subsets(4))
         hs = batch.entropies(sets)
         for attrs in sets:
@@ -52,23 +44,10 @@ class TestParity:
             assert pli.entropy_of(attrs) == pytest.approx(expected, abs=TOL)
             assert hs[attrs] == pytest.approx(expected, abs=TOL)
 
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_parallel_batch_agrees(self, seed):
-        r = random_relation(5, 200, seed=seed)
-        serial = make_oracle(r)
-        parallel = BatchEntropyOracle(r, workers=2)
-        sets = list(all_subsets(5))
-        try:
-            hs = parallel.entropies(sets)
-        finally:
-            parallel.close()
-        for attrs in sets:
-            assert hs[attrs] == pytest.approx(serial.entropy(attrs), abs=TOL)
-
     def test_mutual_informations_match_serial_formula(self):
         r = random_relation(5, 120, seed=3)
         serial = make_oracle(r)
-        batch = BatchEntropyOracle(r, workers=1)
+        batch = BatchEntropyOracle(r)
         triples = [
             ({0}, {1}, {2}),
             ({0, 3}, {1}, ()),
@@ -78,20 +57,21 @@ class TestParity:
         want = [serial.mutual_information(*t) for t in triples]
         assert got == pytest.approx(want, abs=TOL)
 
-    def test_mining_identical_serial_vs_parallel(self):
+    def test_mining_identical_plain_vs_persist(self, tmp_path):
         r = random_relation(6, 150, seed=11)
-        serial = make_oracle(r)
-        parallel = make_oracle(r, workers=2)
-        try:
-            assert mine_all_min_seps(parallel, 0.05) == mine_all_min_seps(serial, 0.05)
-        finally:
-            parallel.close()
+        want = mine_all_min_seps(make_oracle(r), 0.05)
+        for _ in ("cold", "warm"):
+            persisted = make_oracle(r, persist=True, cache_dir=str(tmp_path))
+            try:
+                assert mine_all_min_seps(persisted, 0.05) == want
+            finally:
+                persisted.close()
 
     def test_drop_in_for_miner(self):
         from repro.core.miner import MVDMiner
 
         r = random_relation(4, 60, seed=2)
-        oracle = BatchEntropyOracle(r, workers=1)
+        oracle = BatchEntropyOracle(r)
         result = MVDMiner(oracle).mine(0.0)  # isinstance(EntropyOracle) path
         assert result.pairs_done == result.pairs_total
 
@@ -122,28 +102,6 @@ class TestAccounting:
         o.reset_stats()
         assert (o.queries, o.evals) == (0, 0)
 
-    def test_prefetch_counts_no_queries(self):
-        r = random_relation(4, 50, seed=1)
-        o = BatchEntropyOracle(r, workers=2)
-        try:
-            n = o.prefetch(all_subsets(4, 2))
-            assert n > 0
-            assert o.queries == 0
-            assert o.evals == n
-            # Prefetched sets now serve logical queries from the memo.
-            o.entropy({0, 1})
-            assert o.queries == 1
-            assert o.evals == n
-        finally:
-            o.close()
-
-    def test_serial_prefetch_is_noop(self):
-        r = random_relation(3, 20, seed=2)
-        o = BatchEntropyOracle(r, workers=1)
-        assert o.prefetch([{0}, {1}]) == 0
-        assert o.evals == 0
-        assert not o.prefers_batches
-
 
 # --------------------------------------------------------------------- #
 # Planner
@@ -161,18 +119,6 @@ class TestPlan:
         )
         assert plan.dedup_savings == 2
 
-    def test_shard_covers_in_order_and_balances(self):
-        sets = [frozenset(range(k)) for k in range(1, 30)]
-        shards = shard(sets, 4)
-        assert [s for piece in shards for s in piece] == sets
-        assert 1 <= len(shards) <= 4
-        costs = [sum(estimated_cost(s) for s in piece) for piece in shards]
-        assert max(costs) <= 2 * min(costs)
-
-    def test_shard_degenerate(self):
-        assert shard([], 4) == []
-        assert shard([frozenset({1})], 4) == [[frozenset({1})]]
-
     def test_mi_entropy_sets(self):
         xy, xz, xyz, x = mi_entropy_sets({1}, {2}, {0})
         assert (xy, xz, xyz, x) == (
@@ -181,45 +127,6 @@ class TestPlan:
             frozenset({0, 1, 2}),
             frozenset({0}),
         )
-
-
-# --------------------------------------------------------------------- #
-# Process pool
-# --------------------------------------------------------------------- #
-
-class TestPool:
-    def test_pool_entropies_match_serial(self):
-        r = random_relation(5, 150, seed=4)
-        sets = list(all_subsets(5, 3))
-        with ParallelEvaluator(r, workers=2) as pool:
-            got = pool.entropies(sets)
-        for attrs in sets:
-            assert got[attrs] == pytest.approx(
-                entropy_by_counting(r, attrs), abs=TOL
-            )
-
-    def test_pool_g3_match_serial(self):
-        from repro.fd.measures import g3_error
-
-        r = random_relation(4, 80, seed=5)
-        pairs = [((0,), 1), ((0, 2), 3), ((), 2)]
-        with ParallelEvaluator(r, workers=2) as pool:
-            got = pool.g3_errors(pairs)
-        for lhs, rhs in pairs:
-            assert got[(lhs, rhs)] == pytest.approx(
-                g3_error(r, lhs, rhs), abs=1e-12
-            )
-
-    def test_tane_parallel_matches_serial(self):
-        r = random_relation(5, 70, seed=6)
-        assert mine_fds(r, workers=2) == mine_fds(r)
-
-    def test_serial_evaluator_uses_no_pool(self):
-        r = random_relation(3, 40, seed=7)
-        pool = ParallelEvaluator(r, workers=1)
-        pool.entropies([frozenset({0, 1})])
-        assert pool._pool is None
-        assert pool.serial_batches == 1
 
 
 # --------------------------------------------------------------------- #
@@ -280,10 +187,7 @@ class TestMakeOracle:
         o = make_oracle(fig1)
         assert type(o) is EntropyOracle
 
-    def test_workers_or_persist_select_batch(self, fig1, tmp_path):
-        o = make_oracle(fig1, workers=2)
-        assert isinstance(o, BatchEntropyOracle)
-        o.close()
+    def test_persist_selects_batch(self, fig1, tmp_path):
         o = make_oracle(fig1, persist=True, cache_dir=str(tmp_path))
         assert isinstance(o, BatchEntropyOracle)
         o.close()

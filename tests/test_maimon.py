@@ -1,5 +1,7 @@
 """End-to-end tests for the Maimon facade."""
 
+import typing
+
 import pytest
 
 from repro.core.budget import SearchBudget
@@ -171,3 +173,9 @@ class TestServingHooks:
         full = maimon.mine_mvds(0.0)
         budget = SearchBudget(max_seconds=0).start()
         assert maimon.mine_mvds(0.0, budget=budget) is full
+
+    def test_append_rows_annotation_resolves(self):
+        from repro.delta.builder import Delta
+
+        hints = typing.get_type_hints(Maimon.append_rows)
+        assert hints["return"] is Delta
