@@ -11,8 +11,8 @@ The encoding is what every other layer of the system builds on:
   which reduces to grouping integer code vectors;
 * stripped partitions (the in-memory analogue of the paper's CNT/TID tables)
   are derived from per-column codes;
-* projections — needed for schema decomposition and spurious-tuple counting —
-  are deduplicated code matrices.
+* projections — needed for schema decomposition and decomposed storage —
+  are deduplicated code matrices, one row per group.
 
 The paper treats the input as a single relation ``R`` with attributes
 ``Omega`` and the *empirical distribution* assigning probability ``1/N`` to
@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.kernels import representatives
 from repro.lattice import AttrSet
 
 AttrSpec = Union[int, str]
@@ -398,12 +399,15 @@ class Relation:
         """Project onto ``attrs``; deduplicates by default (set semantics).
 
         This is ``R[Y]`` in the paper.  Column order in the result follows
-        the column order of ``self`` (i.e. sorted indices).
+        the column order of ``self`` (i.e. sorted indices).  Deduplicated
+        rows come in lexicographic order, one per group of
+        :meth:`group_ids` — a row-wise ``np.unique``'s rows and order,
+        without sorting rows.
         """
         idx = self.col_indices(attrs)
         sub = self.codes[:, idx]
-        if dedup and sub.shape[0]:
-            sub = np.unique(sub, axis=0)
+        if dedup:
+            sub = sub[representatives(*self.kernels.ids(idx))]
         return Relation(
             sub,
             [self.columns[j] for j in idx],

@@ -23,9 +23,11 @@ suite in ``tests/test_kernels.py``.
 Entry points: :class:`GroupCounter` (per-relation dispatcher, reachable
 as ``Relation.kernels``), :func:`entropy_from_counts` (the shared Eq. 5
 evaluation), :func:`key_counts` (raw-key counting for
-:class:`~repro.entropy.partitions.EvolvingPartition`), and
+:class:`~repro.entropy.partitions.EvolvingPartition`),
 :func:`grouping_order` (the counting-sort permutation behind
-:meth:`StrippedPartition.from_group_ids`).
+:meth:`StrippedPartition.from_group_ids`) and :func:`representatives`
+(one row per group: deduplicated projections and spurious-tuple
+counting).
 """
 
 from repro.kernels.count import (
@@ -36,6 +38,7 @@ from repro.kernels.count import (
     entropy_from_counts,
     grouping_order,
     key_counts,
+    representatives,
     sort_counts,
     sort_ids,
     sort_ids_and_counts,
@@ -52,6 +55,7 @@ __all__ = [
     "entropy_from_counts",
     "grouping_order",
     "key_counts",
+    "representatives",
     "sort_counts",
     "sort_ids",
     "sort_ids_and_counts",

@@ -308,3 +308,16 @@ def grouping_order(ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
     elif n_groups <= np.iinfo(np.uint32).max:
         ids = ids.astype(np.uint32)
     return np.argsort(ids, kind="stable").astype(np.int64, copy=False)
+
+
+def representatives(ids: np.ndarray, n_groups: int) -> np.ndarray:
+    """One row index per group, in group-id order.
+
+    Rows of a group agree on the grouped attributes, so any member
+    represents it: ``codes[representatives(*kernels.ids(idx))][:, idx]``
+    is the deduplicated projection onto ``idx`` in ascending key order
+    (the rows and order of ``np.unique(codes[:, idx], axis=0)``).
+    """
+    rows = np.empty(n_groups, dtype=np.int64)
+    rows[ids] = np.arange(len(ids), dtype=np.int64)
+    return rows

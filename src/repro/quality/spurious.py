@@ -14,17 +14,34 @@ projections, which is what makes E computable even for schemas whose join
 would have billions of rows (the paper's "each attribute its own relation"
 schema on Nursery joins to 64 800 rows from 12 960 — but wider examples
 explode combinatorially).
+
+The pass runs on dense group ids, never on tuples.  A bag's distinct
+tuples are the groups of the relation's kernel ids over the bag (one
+representative row each) and a separator value is its kernel id, so a
+message is an int64 array indexed by separator id: children scatter-add
+their weights into it, parents gather and multiply.  Counts stay exact:
+an array is promoted to Python ints whenever a bound check shows int64
+could overflow.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.jointree import JoinTree
 from repro.core.schema import Schema
 from repro.data.relation import Relation
+from repro.kernels import representatives
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+#: ``edge_ids(parent, child) -> (at_parent, at_child, k)``: the separator
+#: id of every parent tuple and of every child tuple, in one dense id
+#: space ``0..k-1``.
+EdgeIds = Callable[[int, int], Tuple[np.ndarray, np.ndarray, int]]
 
 
 def _rooted_children(m: int, edges: Sequence[Tuple[int, int]], root: int = 0):
@@ -49,67 +66,66 @@ def _rooted_children(m: int, edges: Sequence[Tuple[int, int]], root: int = 0):
     return children, order
 
 
+def _exact(w: np.ndarray, factor: int) -> np.ndarray:
+    """``w``, as Python ints when ``max(w) * factor`` could overflow int64."""
+    if w.dtype == object or int(w.max(initial=0)) * int(factor) <= _INT64_MAX:
+        return w
+    return w.astype(object)
+
+
+def _scatter_add(ids: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """Exact per-id sums of ``w`` over the ids ``0..k-1``."""
+    w = _exact(w, len(w))
+    out = np.zeros(k, dtype=w.dtype)
+    np.add.at(out, ids, w)
+    return out
+
+
+def count_join(tree: JoinTree, weights: Sequence[np.ndarray], edge_ids: EdgeIds) -> int:
+    """Weighted ``|join|`` by one leaf-to-root pass over dense separator ids.
+
+    ``weights[u]`` gives each distinct tuple of bag ``u`` a non-negative
+    integer weight; the result sums, over the rows of the join, the
+    product of the weights of their bag tuples (all ones: the join size).
+    ``edge_ids`` gives each tree edge's separator ids (see
+    :data:`EdgeIds`).  Children scatter-add their subtree weights per
+    separator id, parents gather and multiply.  Arrays are int64 until a
+    bound check (``max * max`` for a product, ``max * len`` for a sum)
+    shows int64 could overflow, then Python ints, so the result is exact.
+    """
+    children, order = _rooted_children(len(weights), tree.edges)
+    below: Dict[int, np.ndarray] = {}
+    for u in order:  # post-order: children first
+        w = weights[u]
+        for c in children[u]:
+            at_u, at_c, k = edge_ids(u, c)
+            msg = _scatter_add(at_c, below.pop(c), k)
+            w = _exact(w, msg.max(initial=0)) * msg[at_u]
+        below[u] = w
+    root = below[order[-1]]
+    return int(_exact(root, len(root)).sum())
+
+
 def join_row_count(relation: Relation, schema: Schema) -> int:
     """Exact ``|R[Omega_1] ⋈ ... ⋈ R[Omega_m]|`` for an acyclic schema.
 
-    Counts by message passing over a join tree; never materialises the join.
-    Python ints are unbounded, so combinatorial explosions are returned
-    exactly rather than overflowing.
+    Counts by message passing over a join tree (:func:`count_join`); never
+    materialises the join or the projections.  A bag's tuples are the
+    groups of ``relation.kernels.ids(bag)``; an edge's separator ids are
+    ``relation.kernels.ids(separator)`` read at one row per group.
+    Combinatorial explosions beyond int64 are returned exactly.
     """
     tree = schema.join_tree()
-    bags = tree.bags
-    m = len(bags)
-    # Distinct tuples per bag over sorted attribute indices.
-    bag_attrs: List[Tuple[int, ...]] = [tuple(sorted(b)) for b in bags]
-    bag_rows: List[np.ndarray] = []
-    for attrs in bag_attrs:
-        sub = relation.codes[:, attrs]
-        bag_rows.append(np.unique(sub, axis=0) if sub.size else sub[:0])
-    if m == 1:
-        return len(bag_rows[0]) if bag_attrs[0] else min(1, relation.n_rows)
-    children, order = _rooted_children(m, tree.edges)
-    # messages[child] maps a separator-value tuple -> count of joinable
-    # subtree combinations below (and including) the child.
-    messages: Dict[int, Dict[tuple, int]] = {}
-    parent_sep: Dict[int, Tuple[int, ...]] = {}
-    # Record each child's separator with its parent.
-    for u in range(m):
-        for c in children[u]:
-            parent_sep[c] = tuple(sorted(bags[u] & bags[c]))
-    total = 0
-    for u in order:
-        attrs = bag_attrs[u]
-        pos = {a: k for k, a in enumerate(attrs)}
-        rows = bag_rows[u]
-        child_info = []
-        for c in children[u]:
-            sep = parent_sep[c]
-            child_info.append(([pos[a] for a in sep], messages[c]))
-        if u == 0:
-            # Root: sum the weights of its tuples.
-            acc = 0
-            for row in rows:
-                w = 1
-                for sep_pos, msg in child_info:
-                    w *= msg.get(tuple(int(row[k]) for k in sep_pos), 0)
-                    if w == 0:
-                        break
-                acc += w
-            total = acc
-        else:
-            sep = parent_sep[u]
-            sep_pos_up = [pos[a] for a in sep]
-            msg_up: Dict[tuple, int] = defaultdict(int)
-            for row in rows:
-                w = 1
-                for sep_pos, msg in child_info:
-                    w *= msg.get(tuple(int(row[k]) for k in sep_pos), 0)
-                    if w == 0:
-                        break
-                if w:
-                    msg_up[tuple(int(row[k]) for k in sep_pos_up)] += w
-            messages[u] = dict(msg_up)
-    return int(total)
+    kernels = relation.kernels
+    rows = [
+        representatives(*kernels.ids(relation.col_indices(bag))) for bag in tree.bags
+    ]
+
+    def edge_ids(u: int, c: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        ids, k = kernels.ids(relation.col_indices(tree.bags[u] & tree.bags[c]))
+        return ids[rows[u]], ids[rows[c]], k
+
+    return count_join(tree, [np.ones(len(r), dtype=np.int64) for r in rows], edge_ids)
 
 
 def spurious_tuple_count(relation: Relation, schema: Schema) -> int:
@@ -123,7 +139,7 @@ def spurious_tuple_pct(relation: Relation, schema: Schema) -> float:
     base = relation.distinct_count(range(relation.n_cols))
     if base == 0:
         return 0.0
-    return 100.0 * spurious_tuple_count(relation, schema) / base
+    return 100.0 * (join_row_count(relation, schema) - base) / base
 
 
 def materialized_join_rows(relation: Relation, schema: Schema) -> set:

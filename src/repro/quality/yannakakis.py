@@ -11,12 +11,13 @@ our join trees:
 * :func:`iter_join_rows` — stream the join without materialising it
   (backtracking over the reduced bags, output-linear after reduction);
 * :func:`count_query` / :func:`sum_query` — aggregate evaluation by message
-  passing (no tuple enumeration at all), generalising the join-size count
-  used for spurious tuples.
+  passing (no tuple enumeration at all): the spurious-tuple join count
+  itself, run on the bags' current rows, with weighted tuples for sums.
 
-These run on plain decomposed bag tables (dicts of tuples), so they also
-serve as an executable demonstration that a Maimon schema is a usable
-storage/query layout, not just a structural artefact.
+These run on the deduplicated bag code matrices of :class:`DecomposedBags`
+(semijoins and counts over dense separator ids), so they also serve as an
+executable demonstration that a Maimon schema is a usable storage/query
+layout, not just a structural artefact.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 from repro.core.jointree import JoinTree
 from repro.core.schema import Schema
 from repro.data.relation import Relation
-from repro.quality.spurious import _rooted_children
+from repro.kernels import GroupCounter
+from repro.quality.spurious import _rooted_children, count_join
 
 
 class DecomposedBags:
@@ -44,10 +46,7 @@ class DecomposedBags:
         self.schema = schema
         self.tree: JoinTree = schema.join_tree()
         self.attrs: List[Tuple[int, ...]] = [tuple(sorted(b)) for b in self.tree.bags]
-        self.rows: List[np.ndarray] = []
-        for attrs in self.attrs:
-            sub = relation.codes[:, attrs]
-            self.rows.append(np.unique(sub, axis=0) if sub.size else sub[:0])
+        self.rows: List[np.ndarray] = [relation.project(a).codes for a in self.attrs]
         self.columns = relation.columns
 
     @property
@@ -60,6 +59,23 @@ class DecomposedBags:
     def bag_table(self, u: int) -> List[tuple]:
         return [tuple(int(v) for v in row) for row in self.rows[u]]
 
+    def separator_ids(self, u: int, v: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Separator ids of bag ``u``'s and bag ``v``'s current tuples.
+
+        Both sides' separator columns are grouped together by one
+        :class:`~repro.kernels.GroupCounter`, so equal separator values
+        get equal dense ids ``0..k-1`` — read from :attr:`rows` as they
+        are now, after any reduction or edit.
+        """
+        sep = self.tree.bags[u] & self.tree.bags[v]
+        cols_u = [k for k, a in enumerate(self.attrs[u]) if a in sep]
+        cols_v = [k for k, a in enumerate(self.attrs[v]) if a in sep]
+        stacked = np.concatenate([self.rows[u][:, cols_u], self.rows[v][:, cols_v]])
+        radix = stacked.max(axis=0) + 1 if len(stacked) else [0] * len(cols_u)
+        ids, k = GroupCounter(stacked, radix).ids(tuple(range(len(cols_u))))
+        n_u = len(self.rows[u])
+        return ids[:n_u], ids[n_u:], k
+
 
 def full_reducer(bags: DecomposedBags) -> DecomposedBags:
     """Run the two semijoin passes; returns ``bags`` with rows filtered.
@@ -67,34 +83,14 @@ def full_reducer(bags: DecomposedBags) -> DecomposedBags:
     After reduction, every remaining bag tuple participates in at least one
     full join result — the precondition for output-linear enumeration.
     """
-    tree = bags.tree
-    m = bags.m
-    children, order = _rooted_children(m, tree.edges)
-    parent: Dict[int, int] = {}
-    for u in range(m):
-        for c in children[u]:
-            parent[c] = u
-
-    def sep_positions(u: int, v: int) -> Tuple[List[int], List[int]]:
-        sep = tuple(sorted(tree.bags[u] & tree.bags[v]))
-        pos_u = {a: k for k, a in enumerate(bags.attrs[u])}
-        pos_v = {a: k for k, a in enumerate(bags.attrs[v])}
-        return [pos_u[a] for a in sep], [pos_v[a] for a in sep]
+    children, order = _rooted_children(bags.m, bags.tree.edges)
 
     def semijoin(u: int, v: int) -> None:
         """Filter bag u to tuples whose separator value appears in bag v."""
-        pu, pv = sep_positions(u, v)
-        if not pv:
-            keep_any = len(bags.rows[v]) > 0
-            if not keep_any:
-                bags.rows[u] = bags.rows[u][:0]
-            return
-        keys_v = {tuple(int(x) for x in row[pv]) for row in bags.rows[v]}
-        mask = np.array(
-            [tuple(int(x) for x in row[pu]) in keys_v for row in bags.rows[u]],
-            dtype=bool,
-        )
-        bags.rows[u] = bags.rows[u][mask] if len(mask) else bags.rows[u]
+        at_u, at_v, k = bags.separator_ids(u, v)
+        present = np.zeros(k, dtype=bool)
+        present[at_v] = True
+        bags.rows[u] = bags.rows[u][present[at_u]]
 
     # Pass 1 (leaf to root): parent ⋉ child.
     for u in order:  # post-order: children first
@@ -169,99 +165,25 @@ def iter_join_rows(bags: DecomposedBags, reduce_first: bool = True) -> Iterator[
 
 
 def count_query(bags: DecomposedBags) -> int:
-    """``SELECT count(*)`` over the acyclic join by message passing."""
-    tree = bags.tree
-    m = bags.m
-    children, order = _rooted_children(m, tree.edges)
-    parent_sep: Dict[int, Tuple[int, ...]] = {}
-    for u in range(m):
-        for c in children[u]:
-            parent_sep[c] = tuple(sorted(tree.bags[u] & tree.bags[c]))
-    messages: Dict[int, Dict[tuple, int]] = {}
-    total = 0
-    for u in order:
-        pos = {a: k for k, a in enumerate(bags.attrs[u])}
-        child_info = [
-            ([pos[a] for a in parent_sep[c]], messages[c]) for c in children[u]
-        ]
-        if u == order[-1]:  # root is last in post-order
-            acc = 0
-            for row in bags.rows[u]:
-                w = 1
-                for sep_pos, msg in child_info:
-                    w *= msg.get(tuple(int(row[k]) for k in sep_pos), 0)
-                    if not w:
-                        break
-                acc += w
-            total = acc
-        else:
-            sep_pos_up = [pos[a] for a in parent_sep[u]]
-            up: Dict[tuple, int] = defaultdict(int)
-            for row in bags.rows[u]:
-                w = 1
-                for sep_pos, msg in child_info:
-                    w *= msg.get(tuple(int(row[k]) for k in sep_pos), 0)
-                    if not w:
-                        break
-                if w:
-                    up[tuple(int(row[k]) for k in sep_pos_up)] += w
-            messages[u] = dict(up)
-    return int(total)
+    """``SELECT count(*)`` over the acyclic join by message passing.
+
+    The same pass as :func:`~repro.quality.spurious.join_row_count`
+    (:func:`~repro.quality.spurious.count_join`), on the bags' current
+    rows.
+    """
+    ones = [np.ones(len(r), dtype=np.int64) for r in bags.rows]
+    return count_join(bags.tree, ones, bags.separator_ids)
 
 
 def sum_query(bags: DecomposedBags, attr: int) -> int:
     """``SELECT sum(attr)`` over the join, evaluated by message passing.
 
-    Uses the standard (count, sum) semiring pair: each subtree reports,
-    per separator value, how many extensions it has and what those
-    extensions sum to on ``attr``; the attribute's value is picked up at
-    the (unique, by running intersection: the subtree where it lives)
-    bags containing it — we attribute it at the first bag on the
-    traversal that contains ``attr`` to avoid double counting.
+    The count pass with one bag containing ``attr`` weighting each tuple
+    by its ``attr`` code instead of 1, so every join row contributes its
+    ``attr`` value once (a join row agrees with every bag holding
+    ``attr``, so any one of them can carry it).
     """
-    tree = bags.tree
-    m = bags.m
-    children, order = _rooted_children(m, tree.edges)
-    parent_sep: Dict[int, Tuple[int, ...]] = {}
-    for u in range(m):
-        for c in children[u]:
-            parent_sep[c] = tuple(sorted(tree.bags[u] & tree.bags[c]))
-    # The bag that "owns" attr: closest to the root among those containing it.
-    owner = next(u for u in reversed(order) if attr in bags.attrs[u])
-    messages: Dict[int, Dict[tuple, Tuple[int, int]]] = {}
-    total_cnt, total_sum = 0, 0
-    for u in order:
-        pos = {a: k for k, a in enumerate(bags.attrs[u])}
-        child_info = [
-            ([pos[a] for a in parent_sep[c]], messages[c]) for c in children[u]
-        ]
-        is_root = u == order[-1]
-        up: Dict[tuple, Tuple[int, int]] = defaultdict(lambda: (0, 0))
-        acc_cnt, acc_sum = 0, 0
-        for row in bags.rows[u]:
-            cnt, ssum = 1, 0
-            dead = False
-            for sep_pos, msg in child_info:
-                c_cnt, c_sum = msg.get(tuple(int(row[k]) for k in sep_pos), (0, 0))
-                if c_cnt == 0:
-                    dead = True
-                    break
-                # Combine: counts multiply; sums distribute over the counts.
-                ssum = ssum * c_cnt + c_sum * cnt
-                cnt = cnt * c_cnt
-            if dead:
-                continue
-            if u == owner:
-                ssum += cnt * int(row[pos[attr]])
-            if is_root:
-                acc_cnt += cnt
-                acc_sum += ssum
-            else:
-                key = tuple(int(row[k]) for k in [pos[a] for a in parent_sep[u]])
-                old_cnt, old_sum = up[key]
-                up[key] = (old_cnt + cnt, old_sum + ssum)
-        if is_root:
-            total_cnt, total_sum = acc_cnt, acc_sum
-        else:
-            messages[u] = dict(up)
-    return int(total_sum)
+    owner = next(u for u in range(bags.m) if attr in bags.attrs[u])
+    weights = [np.ones(len(r), dtype=np.int64) for r in bags.rows]
+    weights[owner] = bags.rows[owner][:, bags.attrs[owner].index(attr)]
+    return count_join(bags.tree, weights, bags.separator_ids)

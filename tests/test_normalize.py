@@ -35,8 +35,26 @@ class TestIsSuperkey:
         assert is_superkey(r, frozenset({0}), omega)
         assert not is_superkey(r, frozenset({1}), omega)
 
+    def test_fragment_reads_original_columns(self):
+        # Column 2 is constant and column 3 a key, so within {1, 2, 3} the
+        # set {2} is no superkey and {3} is one; column 0 lies outside.
+        r = Relation.from_rows([(i % 2, i % 3, 0, i) for i in range(6)], list("abcd"))
+        within = frozenset({1, 2, 3})
+        assert not is_superkey(r, frozenset({2}), within)
+        assert is_superkey(r, frozenset({3}), within)
+        assert is_superkey(r, frozenset({0, 3}), within)
+
 
 class TestBcnf:
+    def test_fragment_without_last_column_index(self):
+        # c -> b and d -> a: the first split leaves the fragment {a, c, d},
+        # whose superkey check must read column d as column 3.
+        rows = [(d % 2, c % 2, c, d) for c in range(4) for d in range(4)]
+        r = Relation.from_rows(rows, list("abcd"))
+        schema = bcnf_decompose(r)
+        assert schema == Schema([frozenset({0, 3}), frozenset({1, 2}), frozenset({2, 3})])
+        assert spurious_tuple_count(r, schema) == 0
+
     def test_fd_chain_decomposes(self):
         # a -> b -> c: classic transitive dependency; BCNF splits it.
         rows = [(i, i % 3, (i % 3) % 2) for i in range(12)]

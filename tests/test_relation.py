@@ -197,6 +197,37 @@ class TestRelationalOps:
         p = fig1.project(["A"], dedup=False)
         assert p.n_rows == fig1.n_rows
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(0, 40),
+        n_cols=st.integers(1, 6),
+        high=st.sampled_from([1, 3, 1000, 10**6]),
+        resample=st.booleans(),
+        data=st.data(),
+    )
+    def test_project_rows_match_np_unique(
+        self, seed, n_rows, n_cols, high, resample, data
+    ):
+        """Deduplicated rows, and their order, are ``np.unique``'s."""
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, high, size=(n_rows, n_cols))
+        r = Relation(codes, [f"A{j}" for j in range(n_cols)])
+        if resample and n_rows:
+            r = r.take_rows(rng.integers(0, n_rows, size=n_rows))
+        idx = sorted(data.draw(st.sets(st.integers(0, n_cols - 1), min_size=1)))
+        want = np.unique(r.codes[:, idx], axis=0)
+        got = r.project(idx).codes
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_project_zero_rows(self):
+        r = Relation(np.zeros((0, 3), dtype=np.int64), ["a", "b", "c"])
+        for idx in ([0], [0, 2], [0, 1, 2]):
+            want = np.unique(r.codes[:, idx], axis=0)
+            got = r.project(idx).codes
+            assert got.shape == want.shape == (0, len(idx))
+
     def test_distinct(self):
         r = Relation.from_rows([(1, 2), (1, 2), (3, 4)], ["a", "b"])
         assert r.distinct().n_rows == 2

@@ -1,12 +1,18 @@
 """Tests for Yannakakis evaluation and the decomposed store."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schema import Schema
 from repro.data.relation import Relation
-from repro.quality.spurious import join_row_count, materialized_join_rows
+from repro.quality.spurious import (
+    _rooted_children,
+    join_row_count,
+    materialized_join_rows,
+)
 from repro.quality.yannakakis import (
     DecomposedBags,
     count_query,
@@ -14,6 +20,7 @@ from repro.quality.yannakakis import (
     iter_join_rows,
     sum_query,
 )
+from repro.reference import brute_join_count
 from repro.storage import DecomposedStore
 from tests.conftest import random_relation
 
@@ -75,12 +82,121 @@ class TestIterJoinRows:
         assert set(iter_join_rows(bags)) == materialized_join_rows(r, schema)
 
 
-class TestAggregates:
-    def test_count_matches_join_row_count(self, fig1, fig1_red):
-        for rel in (fig1, fig1_red):
-            bags = DecomposedBags(rel, FIG1_SCHEMA)
-            assert count_query(bags) == join_row_count(rel, FIG1_SCHEMA)
+@st.composite
+def relations_with_schemas(draw):
+    """A small relation and a random acyclic schema covering it.
 
+    Bag ``i > 0`` hangs off an earlier bag: a subset (possibly empty) of
+    that bag's attributes plus attributes no earlier bag has, so every
+    attribute's bags stay connected (running intersection).  The rows
+    have duplicates; a resample through ``take_rows`` also leaves codes
+    non-dense.
+    """
+    n_cols = draw(st.integers(1, 7))
+    n_rows = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, draw(st.integers(1, 4)), size=(n_rows, n_cols))
+    rel = Relation(codes, [f"A{j}" for j in range(n_cols)])
+    if n_rows and draw(st.booleans()):
+        rel = rel.take_rows(rng.integers(0, n_rows, size=draw(st.integers(0, n_rows))))
+    attrs = draw(st.permutations(range(n_cols)))
+    bags = []
+    while attrs:
+        k = draw(st.integers(1, len(attrs)))
+        new, attrs = frozenset(attrs[:k]), attrs[k:]
+        if bags:
+            parent = draw(st.sampled_from(bags))
+            new |= draw(st.sets(st.sampled_from(sorted(parent))))
+        bags.append(new)
+    return rel, Schema(bags)
+
+
+def assert_counts_match_brute(rel, schema):
+    want = brute_join_count(rel, schema.bags)
+    assert join_row_count(rel, schema) == want
+    assert count_query(DecomposedBags(rel, schema)) == want
+
+
+class TestJoinCountDifferential:
+    """``join_row_count``, ``count_query`` and ``sum_query`` (one pass)
+    against the brute-force join."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=relations_with_schemas())
+    def test_matches_brute_join(self, case):
+        rel, schema = case
+        assert_counts_match_brute(rel, schema)
+        rows = materialized_join_rows(rel, schema)
+        for attr in range(rel.n_cols):
+            want = sum(row[attr] for row in rows)
+            assert sum_query(DecomposedBags(rel, schema), attr) == want
+
+    def test_empty_separator_is_cartesian(self):
+        rel = random_relation(3, 12, seed=1)
+        schema = Schema([fs(0), fs(1, 2)])
+        assert schema.join_tree().bags[0] & schema.join_tree().bags[1] == fs()
+        assert_counts_match_brute(rel, schema)
+        assert join_row_count(rel, schema) == (
+            rel.distinct_count([0]) * rel.distinct_count([1, 2])
+        )
+
+    def test_root_with_several_children(self):
+        schema = Schema([fs(0, 1), fs(0, 2), fs(1, 3), fs(0, 4)])
+        tree = schema.join_tree()
+        children, _ = _rooted_children(len(tree.bags), tree.edges)
+        assert len(children[0]) >= 2
+        assert_counts_match_brute(random_relation(5, 25, seed=2), schema)
+
+    def test_duplicate_and_non_dense_rows(self):
+        rel = random_relation(4, 20, seed=3, max_domain=6)
+        sample = rel.take_rows([5, 5, 0, 7, 7, 7, 12])
+        assert sample.n_rows > sample.distinct_count(range(4))
+        assert sample.radix[0] > sample.cardinality(0)  # codes have holes
+        assert_counts_match_brute(sample, Schema([fs(0, 1), fs(1, 2), fs(2, 3)]))
+
+    def test_zero_rows(self):
+        rel = Relation(np.zeros((0, 3), dtype=np.int64), ["a", "b", "c"])
+        for schema in (Schema([fs(0, 1), fs(1, 2)]), Schema([fs(0), fs(1), fs(2)])):
+            assert join_row_count(rel, schema) == 0
+            assert_counts_match_brute(rel, schema)
+
+    def test_store_backed_relation(self, tmp_path):
+        from repro.backends import open_store_relation, write_store
+
+        rel = random_relation(4, 40, seed=4)
+        write_store(rel, str(tmp_path / "s.store"))
+        stored = open_store_relation(str(tmp_path / "s.store"))
+        schema = Schema([fs(0, 1), fs(1, 2), fs(1, 3)])
+        want = brute_join_count(rel, schema.bags)
+        assert join_row_count(stored, schema) == want
+        assert count_query(DecomposedBags(stored, schema)) == want
+        assert stored.kernels.snapshot()["chunked_materialized"] == 1
+
+    @pytest.mark.parametrize("shape", ["singletons", "chain"])
+    def test_exact_beyond_int64(self, shape):
+        # Both joins are every combination of column values, so their size
+        # is the product of the column cardinalities (> 2**63 - 1).
+        if shape == "singletons":
+            # 14 columns x 50 values, every attribute its own bag: the
+            # root's product overflows int64.
+            rng = np.random.default_rng(5)
+            codes = np.stack([rng.permutation(50) for _ in range(14)], axis=1)
+            bags = [fs(j) for j in range(14)]
+        else:
+            # 21 columns x 10 values whose neighbours cover all 100 pairs,
+            # bags {j, j+1}: the message into the root sums past int64.
+            r = np.arange(100)
+            codes = np.stack([r % 10 if j % 2 else r // 10 for j in range(21)], axis=1)
+            bags = [fs(j, j + 1) for j in range(20)]
+        rel = Relation(codes, [f"A{j}" for j in range(codes.shape[1])])
+        schema = Schema(bags)
+        want = math.prod(rel.cardinality(j) for j in range(rel.n_cols))
+        assert want > np.iinfo(np.int64).max
+        assert join_row_count(rel, schema) == want
+        assert count_query(DecomposedBags(rel, schema)) == want
+
+
+class TestAggregates:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 3000))
     def test_sum_matches_enumeration(self, seed):
