@@ -330,32 +330,29 @@ class ApproxEntropyEngine(EntropyOracle):
                 self._decision_memo[key] = verdicts[i]
         return verdicts  # type: ignore[return-value]
 
-    def j_le(self, mvd, eps: float) -> bool:
-        """Decide ``J(mvd) <= eps``; straddling intervals go exact.
+    def j_le(self, key_mask: int, deps: Sequence[int], eps: float) -> bool:
+        """Decide ``J(key ->> deps) <= eps``; straddling intervals go exact.
 
         The J combination has ``m + 2`` entropy terms (key-extended
         dependents, the ``(m-1)``-weighted key, the union); escalation
         ships them as one batched ``entropies`` call on the exact tier.
         """
         if self._exhaustive:
-            return super().j_le(mvd, eps)
+            return super().j_le(key_mask, deps, eps)
         threshold = eps + TOL
-        key_mask = mvd.key.mask
-        memo_key = (
-            key_mask, tuple(sorted(d.mask for d in mvd.dependents)), threshold
-        )
+        n_deps = len(deps)
+        memo_key = (key_mask, tuple(sorted(deps)), threshold)
         cached = self._decision_memo.get(memo_key)
         if cached is not None:
-            self.queries += mvd.m + 2  # same logical count as a fresh ask
+            self.queries += n_deps + 2  # same logical count as a fresh ask
             return cached
         everything = key_mask
         masks = []
-        for d in mvd.dependents:
-            m = key_mask | d.mask
-            masks.append(m)
-            everything |= d.mask
+        for dm in deps:
+            masks.append(key_mask | dm)
+            everything |= dm
         terms = [(m, 1.0) for m in masks]
-        terms.append((key_mask, -(mvd.m - 1.0)))
+        terms.append((key_mask, -(n_deps - 1.0)))
         terms.append((everything, -1.0))
         lo, hi, saturated = self._interval_full(terms)
         lo = max(0.0, lo)  # J >= 0 (a sum of conditional MIs)
@@ -372,7 +369,7 @@ class ApproxEntropyEngine(EntropyOracle):
         sets.append(AttrSet.from_mask(everything))
         hs = self.exact_oracle().entropies(sets)
         total = sum(hs[s] for s in sets[:-2])
-        total -= (mvd.m - 1) * hs[sets[-2]]
+        total -= (n_deps - 1) * hs[sets[-2]]
         total -= hs[sets[-1]]
         verdict = total <= threshold
         self._decision_memo[memo_key] = verdict
@@ -403,6 +400,7 @@ class ApproxEntropyEngine(EntropyOracle):
         self._f1_memo.clear()
         self._info_memo.clear()
         self._decision_memo.clear()
+        self._consistency.clear()
         self.relation = new_relation
         self._omega = AttrSet.full(new_relation.n_cols)
         sample = get_sample(

@@ -55,7 +55,9 @@ def satisfies(oracle: EntropyOracle, mvd: MVD, eps: float) -> bool:
     exact evaluation; exact oracles compute ``j_measure(...) <= eps + TOL``
     verbatim.
     """
-    return oracle.j_le(mvd, eps)
+    return oracle.j_le(
+        mvd.key.mask, tuple(d.mask for d in mvd.dependents), eps
+    )
 
 
 def j_of_join_tree(

@@ -150,11 +150,16 @@ class _FragmentOracle:
             eps,
         )
 
-    def j_le(self, mvd, eps: float) -> bool:
+    def j_le(self, key_mask: int, deps, eps: float) -> bool:
         # MVDs searched over this view live inside the fragment universe
         # (their key and dependents partition subsets of it), so no
         # clipping is needed — delegate the decision wholesale.
-        return self._base.j_le(mvd, eps)
+        return self._base.j_le(key_mask, deps, eps)
+
+    def consistency_memo(self, eps: float, key_mask: int):
+        # Closure states live inside the fragment, where this view's
+        # verdicts are the base oracle's: share the base's memo.
+        return self._base.consistency_memo(eps, key_mask)
 
     @property
     def queries(self) -> int:

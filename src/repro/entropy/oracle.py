@@ -65,6 +65,9 @@ class EntropyOracle:
         self.evals = 0    # requests that reached the engine (memo misses)
         self.patched = 0  # memo entries updated in place by delta advances
         self._memo: Dict[int, float] = {}  # keyed by AttrSet bitmask
+        #: Fig. 16 consistency closures of the full-MVD search, per
+        #: (ε, key mask); see :meth:`consistency_memo`.
+        self._consistency: Dict[Tuple[float, int], Dict[Tuple[int, ...], Tuple[int, ...]]] = {}
         self._omega = AttrSet.full(relation.n_cols)
         self._tracker = None  # delta-maintenance state (repro.delta)
 
@@ -141,22 +144,37 @@ class EntropyOracle:
         """Batched :meth:`mi_exceeds`, one verdict per triple, in order."""
         return [mi > eps + TOL for mi in self.mutual_informations(triples)]
 
-    def j_le(self, mvd, eps: float) -> bool:
-        """Decide ``R |=ε mvd``: is ``J(X ->> Y1|...|Ym) <= eps`` (+TOL)?
+    def j_le(self, key_mask: int, deps: Sequence[int], eps: float) -> bool:
+        """Decide ``R |=ε X ->> Y1|...|Ym``: is ``J <= eps`` (+TOL)?
 
-        Same formula as :func:`repro.core.measures.j_measure`, inlined on
-        raw masks (this is the innermost decision of the full-MVD DFS).
+        ``key_mask`` encodes ``X`` and ``deps`` the dependents' bitmasks,
+        in the MVD's canonical (lowest-bit) order.  Same formula as
+        :func:`repro.core.measures.j_measure`, on raw masks: this is the
+        innermost decision of the full-MVD DFS.
         """
-        key_mask = mvd.key.mask
         total = 0.0
         everything = key_mask
-        for d in mvd.dependents:
-            dm = d.mask
+        for dm in deps:
             total += self.entropy_mask(key_mask | dm)
             everything |= dm
-        total -= (mvd.m - 1) * self.entropy_mask(key_mask)
+        total -= (len(deps) - 1) * self.entropy_mask(key_mask)
         total -= self.entropy_mask(everything)
         return total <= eps + TOL
+
+    def consistency_memo(
+        self, eps: float, key_mask: int
+    ) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+        """The full-MVD search's memo of Fig. 16 closures for (ε, key).
+
+        Maps a tuple of dependent masks to a later state on its
+        forced-merge path (:mod:`repro.core.fullmvd`).  The entries follow
+        from this oracle's verdicts alone, so they live as long as the
+        entropy memo and are dropped by :meth:`advance`.
+        """
+        memo = self._consistency.get((eps, key_mask))
+        if memo is None:
+            memo = self._consistency[(eps, key_mask)] = {}
+        return memo
 
     # ------------------------------------------------------------------ #
     # Batched interface (serial reference implementations)
@@ -244,6 +262,7 @@ class EntropyOracle:
                 f"({self.relation.n_cols} -> {new_relation.n_cols} columns)"
             )
         stats = {"patched": 0, "rebuilt": 0, "dropped": 0}
+        self._consistency.clear()  # closures follow the old verdicts
         if self._tracker is not None and delta is not None:
             patched, stats = self._tracker.advance(new_relation, delta)
             kept = {m: patched[m] for m in self._memo if m in patched}

@@ -18,11 +18,37 @@ from __future__ import annotations
 import heapq
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Union
 
+from repro.lattice import bits_of, mask_of
+
 Adjacency = Union[Dict[int, Set[int]], Sequence[Set[int]]]
 
 
 def _neighbors(adjacency: Adjacency, v: int) -> Set[int]:
     return set(adjacency[v])
+
+
+def _adjacency_masks(n: int, adjacency: Adjacency) -> List[int]:
+    """``adjacency`` as one neighbour bitmask per vertex."""
+    return [mask_of(adjacency[v]) for v in range(n)]
+
+
+def _blocked(chosen: int, adj: List[int]) -> int:
+    """The neighbours of the vertices in ``chosen``."""
+    out = 0
+    while chosen:
+        low = chosen & -chosen
+        out |= adj[low.bit_length() - 1]
+        chosen ^= low
+    return out
+
+
+def _complete(chosen: int, free: int, adj: List[int]) -> int:
+    """Add the lowest free vertex, block its neighbours, until none is free."""
+    while free:
+        low = free & -free
+        chosen |= low
+        free &= ~(adj[low.bit_length() - 1] | low)
+    return chosen
 
 
 def greedy_complete(seed: Iterable[int], n: int, adjacency: Adjacency) -> FrozenSet[int]:
@@ -31,18 +57,13 @@ def greedy_complete(seed: Iterable[int], n: int, adjacency: Adjacency) -> Frozen
     Scans vertices in increasing order and adds every vertex not adjacent to
     the current set.  ``seed`` must itself be independent.
     """
-    chosen = set(seed)
-    blocked: Set[int] = set()
-    for u in chosen:
-        blocked |= _neighbors(adjacency, u)
+    adj = _adjacency_masks(n, adjacency)
+    chosen = mask_of(seed)
+    blocked = _blocked(chosen, adj)
     if chosen & blocked:
         raise ValueError("seed is not an independent set")
-    for v in range(n):
-        if v in chosen or v in blocked:
-            continue
-        chosen.add(v)
-        blocked |= _neighbors(adjacency, v)
-    return frozenset(chosen)
+    free = ((1 << n) - 1) & ~(chosen | blocked)
+    return frozenset(bits_of(_complete(chosen, free, adj)))
 
 
 def maximal_independent_sets(n: int, adjacency: Adjacency) -> Iterator[FrozenSet[int]]:
@@ -59,26 +80,29 @@ def maximal_independent_sets(n: int, adjacency: Adjacency) -> Iterator[FrozenSet
     Yields
     ------
     Each MIS exactly once, in lexicographic order of the sorted vertex tuple.
+
+    Sets are int bitmasks internally (vertex ``v`` is bit ``v``); the heap
+    is keyed by the sorted vertex tuple, which fixes the output order.
     """
     if n == 0:
         yield frozenset()
         return
-    first = greedy_complete((), n, adjacency)
-    seen: Set[FrozenSet[int]] = {first}
-    heap: List[tuple] = [(tuple(sorted(first)), first)]
+    adj = _adjacency_masks(n, adjacency)
+    full = (1 << n) - 1
+    first = _complete(0, full, adj)
+    seen = {first}
+    heap = [(tuple(bits_of(first)), first)]
     while heap:
-        __, current = heapq.heappop(heap)
-        yield current
-        for j in range(n):
-            if j in current:
-                continue
-            nbrs_j = _neighbors(adjacency, j)
-            seed = {u for u in current if u < j and u not in nbrs_j}
-            seed.add(j)
-            candidate = greedy_complete(seed, n, adjacency)
+        vertices, current = heapq.heappop(heap)
+        yield frozenset(vertices)
+        for j in bits_of(full & ~current):
+            bit = 1 << j
+            seed = (current & (bit - 1) & ~adj[j]) | bit
+            free = full & ~(seed | _blocked(seed, adj))
+            candidate = _complete(seed, free, adj)
             if candidate not in seen:
                 seen.add(candidate)
-                heapq.heappush(heap, (tuple(sorted(candidate)), candidate))
+                heapq.heappush(heap, (tuple(bits_of(candidate)), candidate))
 
 
 def is_independent(vertices: Iterable[int], adjacency: Adjacency) -> bool:

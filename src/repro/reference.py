@@ -8,6 +8,9 @@ else) uses these as ground truth on small inputs:
   drop-in oracle so whole mining runs can be checked against them;
 * all ε-MVDs / full ε-MVDs / minimal separators by enumerating partitions
   and subsets (vs ``getFullMVDs`` / ``MineMinSeps``);
+* the full-MVD search of Figs. 6/16/17 on :class:`MVD` objects, re-running
+  Fig. 16 for every neighbour (vs the bitmask search with its memoised
+  consistency closure in :mod:`repro.core.fullmvd`);
 * all minimal transversals and maximal independent sets (vs the Berge and
   JPY enumerators);
 * the materialised join of a decomposition (vs the Yannakakis count).
@@ -23,6 +26,8 @@ from collections import Counter
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.common import TOL, attrset
+from repro.core.budget import SearchBudget, ensure_budget
+from repro.core.measures import satisfies
 from repro.core.mvd import MVD
 from repro.data.relation import Relation
 
@@ -193,6 +198,123 @@ def all_standard_mvds(relation: Relation, eps: float) -> List[MVD]:
                 if j_by_counting(relation, mvd) <= eps + TOL:
                     out.append(mvd)
     return sorted(out)
+
+
+# --------------------------------------------------------------------- #
+# Full-MVD search on MVD objects
+# --------------------------------------------------------------------- #
+
+def mvd_neighbors(mvd: MVD, pair: Optional[Tuple[int, int]] = None) -> List[MVD]:
+    """All single-merge coarsenings keeping the pair separated (Eq. 13)."""
+    out: List[MVD] = []
+    m = mvd.m
+    if m <= 2:
+        return out  # merging the last two dependents is no longer an MVD
+    if pair is not None:
+        a, b = pair
+    for i in range(m):
+        for j in range(i + 1, m):
+            if pair is not None:
+                union = mvd.dependents[i] | mvd.dependents[j]
+                if a in union and b in union:
+                    continue
+            out.append(mvd.merge(i, j))
+    return out
+
+
+def mvd_pairwise_consistent(
+    oracle, mvd: MVD, eps: float, pair: Optional[Tuple[int, int]] = None
+) -> Optional[MVD]:
+    """``getPairwiseConsistentMVD`` (Fig. 16), scanned afresh on every call.
+
+    Repeatedly merges the first dependent pair (in scan order) with
+    ``I(Ci; Cj | S) > eps``; returns ``None`` once a forced merge would
+    unite the pair or leave a single dependent.
+    """
+    key = mvd.key
+    current = mvd
+    while True:
+        if pair is not None and not current.separates(*pair):
+            return None
+        violating = None
+        deps = current.dependents
+        for i in range(len(deps)):
+            for j in range(i + 1, len(deps)):
+                if oracle.mi_exceeds(deps[i], deps[j], key, eps):
+                    violating = (i, j)
+                    break
+            if violating:
+                break
+        if violating is None:
+            return current
+        if len(deps) == 2:
+            return None
+        if pair is not None:
+            union = deps[violating[0]] | deps[violating[1]]
+            if pair[0] in union and pair[1] in union:
+                return None
+        current = current.merge(*violating)
+
+
+def search_full_mvds(
+    oracle,
+    key: Iterable[int],
+    eps: float,
+    pair: Optional[Tuple[int, int]] = None,
+    limit: Optional[int] = None,
+    optimized: bool = True,
+    budget: Optional[SearchBudget] = None,
+    prune_refined: bool = True,
+) -> List[MVD]:
+    """The DFS of Fig. 6 (``optimized``: Fig. 17) over :class:`MVD` objects.
+
+    Same contract as :func:`repro.core.fullmvd.get_full_mvds`, which must
+    return the same list with the same engine evaluations and no more
+    logical queries.
+    """
+    key = attrset(key)
+    budget = ensure_budget(budget)
+    universe = oracle.omega
+    free = universe - key
+    if pair is not None:
+        a, b = pair
+        if a == b or a not in free or b not in free:
+            return []
+    if len(free) < 2:
+        return []
+    phi0 = MVD.finest(key, universe)
+    if optimized:
+        phi0 = mvd_pairwise_consistent(oracle, phi0, eps, pair)
+        if phi0 is None:
+            return []
+    out: List[MVD] = []
+    seen = {phi0}
+    stack: List[MVD] = [phi0]
+    while stack:
+        if limit is not None and len(out) >= limit:
+            break
+        if budget.exhausted:
+            break
+        phi = stack.pop()
+        budget.tick()
+        if satisfies(oracle, phi, eps):
+            out.append(phi)
+            continue
+        for nbr in mvd_neighbors(phi, pair):
+            if optimized:
+                nbr = mvd_pairwise_consistent(oracle, nbr, eps, pair)
+                if nbr is None:
+                    continue
+            if nbr not in seen:
+                seen.add(nbr)
+                stack.append(nbr)
+    if prune_refined and len(out) > 1:
+        out = [
+            phi
+            for phi in out
+            if not any(other.strictly_refines(phi) for other in out if other is not phi)
+        ]
+    return sorted(set(out))
 
 
 # --------------------------------------------------------------------- #

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.api.specs import EngineSpec
 from repro.core.maimon import Maimon
 from repro.data.relation import Relation
 from repro.delta import (
@@ -191,31 +192,84 @@ class TestEvolvingPartition:
 # Tracker + oracle advance
 # --------------------------------------------------------------------- #
 
+#: Appends whose warm re-mine goes wrong on either engine when the
+#: full-MVD search's consistency-closure memo survives ``advance``
+#: (found by random search over 4-6 binary columns).
+STALE_CLOSURE_EXAMPLES = [
+    (
+        [("a", "a", "a", "b", "b"), ("b", "b", "a", "a", "b"),
+         ("b", "b", "a", "a", "b")],
+        [("b", "a", "a", "a", "b"), ("a", "b", "a", "b", "b"),
+         ("b", "b", "b", "b", "b")],
+        0.2,
+    ),
+    (
+        [("b", "b", "b", "a"), ("b", "a", "b", "a"), ("b", "a", "b", "b"),
+         ("b", "a", "a", "b"), ("a", "a", "a", "a"), ("b", "a", "a", "b"),
+         ("a", "a", "b", "a"), ("b", "a", "a", "a"), ("b", "b", "a", "b"),
+         ("a", "a", "a", "b"), ("b", "b", "b", "b"), ("b", "a", "a", "a")],
+        [("a", "b", "a", "b"), ("a", "b", "b", "a"), ("a", "a", "a", "b")],
+        0.1,
+    ),
+    (
+        [("b", "b", "b", "b", "b", "b"), ("a", "a", "a", "a", "b", "b"),
+         ("a", "b", "b", "b", "b", "b"), ("b", "b", "a", "a", "a", "b"),
+         ("a", "a", "a", "a", "b", "a"), ("a", "b", "a", "a", "b", "a")],
+        [("a", "a", "a", "a", "b", "a"), ("b", "b", "b", "a", "a", "b")],
+        0.1,
+    ),
+]
+
+#: A base batch and an append over 4-6 binary columns.
+wide_row_batches = st.integers(4, 6).flatmap(
+    lambda n: row_batches(n_cols=n, alphabet=("a", "b"))
+)
+
+
+def stale_closure_examples(test):
+    for base_rows, extra, eps in STALE_CLOSURE_EXAMPLES:
+        test = example(batches=(base_rows, extra), eps=eps)(test)
+    return test
+
+
 class TestDeltaTracking:
-    def _mined_pair(self, rows, split, n_cols, eps=0.0):
+    def _mined_pair(self, rows, split, n_cols, eps=0.0, spec=None):
         columns = _columns(n_cols)
         base = Relation.from_rows(rows[:split], columns)
         whole = Relation.from_rows(rows, columns)
-        warm = Maimon(base, track_deltas=True)
+        warm = Maimon(base, spec=spec or EngineSpec(track_deltas=True))
         warm.mine_mvds(eps)
         warm.append_rows(rows[split:])
         warm_result = warm.mine_mvds(eps)
-        cold = Maimon(whole)
+        cold = Maimon(whole, spec=spec)
         cold_result = cold.mine_mvds(eps)
         return warm, warm_result, cold, cold_result
 
-    @settings(max_examples=25, deadline=None)
-    @given(row_batches(n_cols=3, alphabet=("a", "b")))
-    def test_warm_remine_equals_cold_mine(self, batches):
+    def _check_warm_equals_cold(self, batches, eps, spec=None):
         base_rows, extra = batches
         rows = base_rows + extra
         if not base_rows or not extra:
             return
         warm, warm_result, cold, cold_result = self._mined_pair(
-            rows, len(base_rows), 3
+            rows, len(base_rows), len(rows[0]), eps, spec
         )
         assert warm_result.mvds == cold_result.mvds
         assert warm_result.min_seps == cold_result.min_seps
+
+    @settings(max_examples=25, deadline=None)
+    @given(batches=wide_row_batches, eps=st.sampled_from([0.0, 0.1, 0.2]))
+    @stale_closure_examples
+    def test_warm_remine_equals_cold_mine(self, batches, eps):
+        self._check_warm_equals_cold(batches, eps)
+
+    @settings(max_examples=25, deadline=None)
+    @given(batches=wide_row_batches, eps=st.sampled_from([0.0, 0.1, 0.2]))
+    @stale_closure_examples
+    def test_warm_remine_equals_cold_mine_approx(self, batches, eps):
+        # A sample far below the row count: most decisions escalate, and
+        # ApproxEntropyEngine.advance (not the base class's) runs.
+        spec = EngineSpec(engine="approx", sample_rows=6)
+        self._check_warm_equals_cold(batches, eps, spec)
 
     def test_oracle_memo_is_patched_not_cleared(self):
         rng = np.random.default_rng(5)

@@ -1,7 +1,7 @@
 """Tests for getFullMVDs against exhaustive enumeration."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common import TOL
 from repro.core.budget import SearchBudget
@@ -14,7 +14,11 @@ from repro.core.fullmvd import (
 from repro.core.measures import j_measure
 from repro.core.mvd import MVD
 from repro.entropy.oracle import make_oracle
-from repro.reference import full_mvds_with_key, separates as brute_separates
+from repro.reference import (
+    full_mvds_with_key,
+    search_full_mvds,
+    separates as brute_separates,
+)
 from tests.conftest import random_relation
 
 
@@ -157,3 +161,67 @@ class TestKeySeparates:
         assert not key_separates(fig1_oracle, {0, 1}, (1, 4), 1.0)
         assert not key_separates(fig1_oracle, {0}, (0, 4), 1.0)
         assert not key_separates(fig1_oracle, {0}, (4, 4), 1.0)
+
+    @pytest.mark.parametrize("optimized", [True, False])
+    def test_pair_outside_relation_never_separates(self, optimized):
+        o = make_oracle(random_relation(4, 15, seed=3))
+        assert get_full_mvds(o, {0}, 1.0, pair=(1, 9), optimized=optimized) == []
+        assert not key_separates(o, {0}, (1, 9), 1.0, optimized=optimized)
+
+
+@st.composite
+def search_calls(draw):
+    """A relation (<= 7 attributes) and a few searches on it with one ε."""
+    n_cols = draw(st.integers(2, 7))
+    seed = draw(st.integers(0, 10_000))
+    eps = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+    attr = st.integers(0, n_cols - 1)
+    call = st.fixed_dictionaries({
+        # Small keys leave room for forced merges.  With a pair the
+        # closure walk stops where the pair unites, so memo entries left
+        # by one call are partial paths for the next.
+        "key": st.frozensets(attr, max_size=2),
+        "pair": st.tuples(attr, attr) | st.none(),
+        "limit": st.none() | st.integers(1, 3),
+        "optimized": st.booleans(),
+        "prune_refined": st.booleans(),
+    })
+    return n_cols, seed, eps, draw(st.lists(call, min_size=1, max_size=4))
+
+
+class TestMatchesReferenceSearch:
+    """The bitmask search, with its consistency closure memoised across
+    calls, returns what the MVD-object search of Figs. 6/16/17 returns,
+    with the same engine evaluations and no more logical queries."""
+
+    @pytest.mark.parametrize("engine", ["pli", "approx"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=search_calls())
+    # The first forced merge unites the pair, where Fig. 16 stops: a walk
+    # that went on would evaluate sets Fig. 16 never asks for.  The second
+    # call then continues the memoised partial path.
+    @example(case=(4, 0, 0.0, [
+        dict(key=frozenset(), pair=(0, 1), limit=1, optimized=True,
+             prune_refined=False),
+        dict(key=frozenset(), pair=None, limit=None, optimized=True,
+             prune_refined=True),
+    ]))
+    def test_same_outputs_and_evals(self, engine, case):
+        n_cols, seed, eps, calls = case
+        r = random_relation(n_cols, 300, seed=seed, max_domain=2)
+
+        def oracle():
+            if engine == "pli":
+                return make_oracle(r)
+            # A sample of half the rows: some verdicts come from the
+            # sample, saturated and straddling ones escalate.
+            return make_oracle(r, engine="approx", sample_rows=150, sample_seed=seed)
+
+        ref, new = oracle(), oracle()
+        for kw in calls:
+            expected = search_full_mvds(ref, eps=eps, **kw)
+            assert get_full_mvds(new, eps=eps, **kw) == expected
+            assert new.evals == ref.evals
+            assert new.queries <= ref.queries
+            if engine == "approx":
+                assert new.escalations == ref.escalations

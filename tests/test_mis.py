@@ -78,7 +78,8 @@ class TestEnumeration:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         edges = [p for k, p in enumerate(pairs) if (edge_bits >> k) & 1]
         adj = adjacency_from_edges(n, edges)
-        got = sorted(maximal_independent_sets(n, adj), key=sorted)
+        # The emitted order matters: ASMiner's candidate order follows it.
+        got = list(maximal_independent_sets(n, adj))
         expected = sorted(brute_maximal_independent_sets(n, adj), key=sorted)
         assert got == expected
 
