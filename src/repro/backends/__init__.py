@@ -24,7 +24,6 @@ from repro.backends.base import (
     NumpyBackend,
     RelationBackend,
     StoreError,
-    narrow_dtype,
 )
 from repro.backends.chunked import ChunkedGroupCounter
 from repro.backends.mmap_backend import MmapBackend

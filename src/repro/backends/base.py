@@ -3,11 +3,13 @@
 A backend answers the questions mining actually asks of a relation's
 storage, without prescribing where the bytes live:
 
-* **metadata** — row count, column names, per-column radix bounds,
-  cardinalities and storage dtypes;
-* **chunked iteration** — aligned per-column int64 code blocks for any
-  attribute subset, the feed for the chunk-streaming counting lanes
-  (:func:`repro.kernels.dispatch.stream_counts`);
+* **metadata** — row count, column names, per-column radix bounds and
+  cardinalities;
+* **chunked iteration** — aligned per-column code blocks for any
+  attribute subset, each column in the narrow dtype of its radix
+  (:func:`repro.kernels.narrow_dtype`), the feed for the chunk-streaming
+  counting lanes (:func:`repro.kernels.dispatch.stream_counts`), which
+  compose keys from them without widening;
 * **counts pushdown** — ``key_counts(idx)``: group sizes in ascending
   mixed-radix key order, the one hot question of counts-first mining
   (PR 7 made every entropy reduce to it);
@@ -83,22 +85,19 @@ class RelationBackend(abc.ABC):
     def cardinalities(self) -> Tuple[int, ...]:
         """Per-column distinct-value counts."""
 
-    @property
-    @abc.abstractmethod
-    def dtypes(self) -> Tuple[str, ...]:
-        """Per-column storage dtype names (e.g. ``"uint8"``)."""
-
     # -- data ---------------------------------------------------------- #
 
     @abc.abstractmethod
     def iter_chunks(
         self, idx: Sequence[int], chunk_rows: int
     ) -> Iterator[List[np.ndarray]]:
-        """Yield row blocks as aligned per-column int64 code arrays.
+        """Yield row blocks as aligned per-column code arrays.
 
         Blocks cover all rows in order; each yielded list holds one
-        array per index in ``idx`` (same order), all of the same length
-        ``<= chunk_rows``.
+        contiguous array per index in ``idx`` (same order), all of the
+        same length ``<= chunk_rows``.  Column ``j`` comes in
+        ``narrow_dtype(radix[j])`` — what the store files hold and what
+        key composition reads — never widened to int64.
         """
 
     @abc.abstractmethod
@@ -169,21 +168,16 @@ class NumpyBackend(RelationBackend):
     def cardinalities(self) -> Tuple[int, ...]:
         return tuple(self.relation.cardinality(j) for j in range(self.relation.n_cols))
 
-    @property
-    def dtypes(self) -> Tuple[str, ...]:
-        return tuple(str(self.relation.codes.dtype) for _ in self.relation.columns)
-
     def iter_chunks(
         self, idx: Sequence[int], chunk_rows: int
     ) -> Iterator[List[np.ndarray]]:
-        codes = self.relation.codes
+        # Slices of the counter's narrow columns: the layout key
+        # composition reads in memory, so both lanes see the same arrays.
+        cols = [self.relation.kernels.column(j) for j in idx]
         chunk_rows = max(int(chunk_rows), 1)
         for start in range(0, self.n_rows, chunk_rows):
             stop = start + chunk_rows
-            yield [
-                np.ascontiguousarray(codes[start:stop, j], dtype=np.int64)
-                for j in idx
-            ]
+            yield [col[start:stop] for col in cols]
 
     def key_counts(self, idx: Tuple[int, ...]) -> np.ndarray:
         return self.relation.kernels.counts(tuple(idx))
@@ -198,21 +192,6 @@ class NumpyBackend(RelationBackend):
 
     def domain(self, j: int) -> Optional[list]:
         return self.relation.domains[j]
-
-
-def narrow_dtype(cardinality: int) -> np.dtype:
-    """Smallest unsigned/signed dtype holding codes ``0..cardinality-1``.
-
-    The store files use this per column; every consumer widens back to
-    int64 at the chunk boundary (the kernels' native key dtype).
-    """
-    if cardinality <= np.iinfo(np.uint8).max + 1:
-        return np.dtype(np.uint8)
-    if cardinality <= np.iinfo(np.uint16).max + 1:
-        return np.dtype(np.uint16)
-    if cardinality <= np.iinfo(np.int32).max + 1:
-        return np.dtype(np.int32)
-    return np.dtype(np.int64)
 
 
 #: Default row-block size for store ingestion and streamed counting —

@@ -4,7 +4,10 @@
 :class:`repro.kernels.dispatch.GroupCounter`: the same public surface
 the entropy engines consume (``counts`` / ``entropy`` / ``ids`` /
 ``ids_and_counts`` / ``snapshot`` / ``snapshot_since``), answered from
-row blocks instead of a resident code matrix.
+row blocks instead of a resident code matrix.  The blocks arrive in each
+column's narrow stored dtype (:func:`repro.kernels.narrow_dtype`) and
+are composed into keys as they are, the layout the in-memory counter
+composes from too.
 
 Routing:
 

@@ -96,10 +96,6 @@ class DuckDBBackend(RelationBackend):
     def cardinalities(self) -> Tuple[int, ...]:
         return self.source.cardinalities
 
-    @property
-    def dtypes(self) -> Tuple[str, ...]:
-        return tuple("int64" for _ in self.columns)
-
     def fingerprint(self) -> str:
         return self.source.fingerprint()
 

@@ -7,12 +7,17 @@ store files written by :func:`repro.backends.store.ingest_csv` /
 * metadata comes from the manifest — including the **ingest-time
   fingerprint**, so opening a store never rehashes the data;
 * ``iter_chunks`` reads bounded row blocks per column with plain
-  ``seek`` + ``np.fromfile`` into fresh buffers.  Deliberately *not*
+  ``seek`` + ``np.fromfile`` into fresh buffers, in the column's stored
+  narrow dtype (the manifest's ``dtypes``:
+  :func:`repro.kernels.narrow_dtype` of its radix); the counting lanes
+  compose keys from those blocks as read, with no int64 widening in
+  between.  Deliberately *not*
   ``np.memmap`` for the streaming path: touched memmap pages count
   toward the process RSS until the OS reclaims them, which would make
   an "out-of-core" run indistinguishable from an in-memory one under a
-  memory budget.  Peak memory is one ``chunk_rows`` block per column of
-  the attribute subset, whatever the store size;
+  memory budget.  Peak memory is one narrow ``chunk_rows`` block per
+  column of the attribute subset plus one key buffer, whatever the
+  store size;
 * ``key_counts`` feeds those blocks through the chunk-streaming lanes
   of :func:`repro.kernels.dispatch.stream_counts` — bit-identical
   counts, bounded memory;
@@ -87,10 +92,6 @@ class MmapBackend(RelationBackend):
     def cardinalities(self) -> Tuple[int, ...]:
         return tuple(int(c) for c in self.manifest["cardinalities"])
 
-    @property
-    def dtypes(self) -> Tuple[str, ...]:
-        return tuple(dt.name for dt in self._dtypes)
-
     def fingerprint(self) -> str:
         return str(self.manifest["fingerprint"])
 
@@ -121,7 +122,7 @@ class MmapBackend(RelationBackend):
                         raise StoreError(
                             f"short read in {store_mod.column_file(self.path, j)}"
                         )
-                    block.append(arr.astype(np.int64, copy=False))
+                    block.append(arr)
                 yield block
         finally:
             for f in handles:
@@ -142,7 +143,8 @@ class MmapBackend(RelationBackend):
         )
 
     def iter_column_chunks(self, j: int, chunk_rows: int) -> Iterator[np.ndarray]:
-        """Int64 code chunks of one column (the fingerprint feed)."""
+        """Stored-dtype code chunks of one column (the fingerprint feed,
+        which hashes them as int64 bytes)."""
         for block in self.iter_chunks((j,), chunk_rows):
             yield block[0]
 

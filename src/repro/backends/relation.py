@@ -136,9 +136,10 @@ class BackendRelation:
         return self.kernels.ids(self.col_indices(attrs))
 
     def iter_column_chunks(self, j: int, chunk_rows: int) -> Iterator[np.ndarray]:
-        """Int64 code chunks of column ``j`` — the streamed-hash feed
-        :func:`repro.exec.persist.relation_fingerprint` consumes, so
-        fingerprinting a store-backed relation never materialises it."""
+        """Code chunks of column ``j`` in the backend's dtype — the
+        streamed-hash feed :func:`repro.exec.persist.relation_fingerprint`
+        consumes (it hashes them as int64 bytes), so fingerprinting a
+        store-backed relation never materialises it."""
         stream = getattr(self.backend, "iter_column_chunks", None)
         if stream is not None:
             yield from stream(j, chunk_rows)

@@ -10,11 +10,13 @@ A *store* is a directory::
 Codes are the same first-appearance dictionary encoding
 :meth:`Relation.from_rows` produces (the pure-Python dict walk of
 ``data.relation._factorize_object``), stored per column in the smallest
-sufficient dtype (:func:`repro.backends.base.narrow_dtype`) — a store of
-a CSV is typically 4-8x smaller than the in-memory int64 matrix.  Line
-``i`` of a domain file decodes code ``i``; a ``null`` entry in the
-manifest's ``domains`` list means the column has no decode table (codes
-decode to themselves, like ``Relation.domains[j] is None``).
+sufficient dtype (:func:`repro.kernels.narrow_dtype`) — a store of a
+CSV is typically 4-8x smaller than the in-memory int64 matrix, and the
+chunk-streaming counters compose keys from these columns as read,
+without widening them.  Line ``i`` of a domain file decodes code ``i``;
+a ``null`` entry in the manifest's ``domains`` list means the column
+has no decode table (codes decode to themselves, like
+``Relation.domains[j] is None``).
 
 The manifest's ``fingerprint`` is the **canonical relation
 fingerprint** (:func:`repro.exec.persist.fingerprint_stream`) of the
@@ -47,10 +49,11 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.backends.base import StoreError, narrow_dtype
+from repro.backends.base import StoreError
 from repro.data.loaders import null_token_sub
 from repro.data.relation import Relation
 from repro.exec.persist import fingerprint_stream, relation_fingerprint
+from repro.kernels import narrow_dtype
 from repro.obs.trace import span
 
 #: Manifest file name inside a store directory.

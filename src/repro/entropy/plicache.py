@@ -31,7 +31,6 @@ class PLICacheEngine:
     def __init__(self, relation: Relation):
         self.relation = relation
         self._entropy_memo: Dict[int, float] = {}
-        self.fast_entropies = 0  # entropies evaluated (memo misses)
         # Kernel counters are relation-level and shared across engines;
         # this engine reports deltas against a private baseline.
         self._kernel_baseline = relation.kernels.snapshot()
@@ -53,13 +52,11 @@ class PLICacheEngine:
                 f"attribute index {m.bit_length() - 1} out of range "
                 f"0..{self.relation.n_cols - 1}"
             )
-        self.fast_entropies += 1
         value = self.relation.kernels.entropy(tuple(bits_of(m)))
         self._entropy_memo[m] = value
         return value
 
     def reset_stats(self) -> None:
-        self.fast_entropies = 0
         self._kernel_baseline = self.relation.kernels.snapshot()
 
     @property

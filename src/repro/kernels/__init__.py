@@ -20,6 +20,10 @@ Both kernels return counts in ascending key order, making every dispatch
 choice bit-identical to the legacy sort path — verified by the parity
 suite in ``tests/test_kernels.py``.
 
+Keys are composed from narrow, contiguous code columns, one dtype per
+column chosen by :func:`narrow_dtype` (the width the on-disk stores use
+too), so the in-memory and the chunk-streamed lanes read one layout.
+
 Entry points: :class:`GroupCounter` (per-relation dispatcher, reachable
 as ``Relation.kernels``), :func:`entropy_from_counts` (the shared Eq. 5
 evaluation), :func:`key_counts` (raw-key counting for
@@ -43,6 +47,7 @@ from repro.kernels.count import (
     sort_ids,
     sort_ids_and_counts,
 )
+from repro.kernels.compose import narrow_dtype
 from repro.kernels.dispatch import PREFIX_BUDGET, GroupCounter
 
 __all__ = [
@@ -55,6 +60,7 @@ __all__ = [
     "entropy_from_counts",
     "grouping_order",
     "key_counts",
+    "narrow_dtype",
     "representatives",
     "sort_counts",
     "sort_ids",

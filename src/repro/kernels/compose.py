@@ -1,17 +1,31 @@
-"""Mixed-radix key composition with smallest-sufficient dtypes.
+"""Mixed-radix key composition over narrow, contiguous code columns.
 
 Composes a per-row group key from several code columns — the same
 lexicographic mixed-radix combination as
 :func:`repro.entropy.partitions.combine_codes` — but engineered for the
 counts-first fast path:
 
-* **No unconditional copies.**  A single-column key is the raw code
-  column itself (a view); the first extension allocates the output in
-  one fused ``np.multiply(..., dtype=target)``.
-* **Smallest sufficient dtype.**  When the running key bound fits int32
-  the arithmetic runs in int32 (measured ~1.6x faster per pass than
-  int64 on wide relations); the bound is tracked exactly so narrowing is
-  provably lossless.
+* **Narrow, contiguous inputs.**  Every code column a key is composed
+  from is a contiguous array of :func:`narrow_dtype` of its radix —
+  ``uint8`` for the paper's low-domain columns.  One multiply-add over
+  such a column streams a byte per row, where a column of the row-major
+  int64 matrix is a strided view touching a cache line per row (about
+  14x slower per multiply-add at 500k rows on a 2-vCPU x86-64 host).
+  The in-memory counter narrows each column once
+  (:meth:`repro.kernels.dispatch.GroupCounter.column`) and the stores
+  keep their columns in this dtype on disk, so both lanes read the same
+  layout.  A single-column key is that array itself.
+* **Smallest sufficient key dtype.**  Composed keys take the narrowest
+  dtype that holds the running key bound (:func:`key_dtype`: ``uint8``
+  for bounds up to 255, then ``uint16``, int32 and int64); the bound is
+  tracked exactly so narrowing is provably lossless, and a narrow key
+  cuts the bytes every later pass streams.  The width of every
+  first multiply comes from ``dtype=``, never from its operands: under
+  NumPy 2 promotion ``uint8_array * 200`` stays ``uint8`` and wraps
+  silently.
+* **No unconditional copies.**  The first extension allocates the
+  output in one fused ``np.multiply(..., dtype=target)``; extensions
+  are always out-of-place, so cached prefixes survive.
 * **Eager densification.**  Whenever extending would push the key bound
   past the dispatcher's bincount limit, the keys are first re-densified
   — via the O(n + K) bincount rank (:func:`count.bincount_ids` logic)
@@ -32,15 +46,40 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-#: Largest key bound the int32 lane may carry.
-_INT32_MAX = np.iinfo(np.int32).max
 #: Hard int64 key-product guard (mirrors partitions.DENSE_RADIX_BOUND).
 INT64_KEY_BOUND = 2**62
 
+#: ``(largest radix it holds, dtype)``, narrowest first; int64 beyond.
+#: Built once: :func:`narrow_dtype` runs on every key extension.
+_WIDTHS = tuple(
+    (int(np.iinfo(t).max) + 1, np.dtype(t)) for t in (np.uint8, np.uint16, np.int32)
+)
+_INT64 = np.dtype(np.int64)
 
-def _target_dtype(bound: int) -> np.dtype:
-    """Smallest signed dtype that holds keys in ``0..bound-1``."""
-    return np.dtype(np.int32) if bound <= _INT32_MAX else np.dtype(np.int64)
+
+def narrow_dtype(radix: int) -> np.dtype:
+    """Smallest dtype holding codes ``0..radix-1``: the one width decision.
+
+    The store files keep each column in this dtype, and both counters
+    (:class:`~repro.kernels.dispatch.GroupCounter` in memory, the
+    chunk-streaming lanes of :func:`~repro.kernels.dispatch.stream_counts`
+    over stores) compose keys straight from arrays of it, never widening
+    a column to int64 first.
+    """
+    for top, dtype in _WIDTHS:
+        if radix <= top:
+            return dtype
+    return _INT64
+
+
+def key_dtype(bound: int) -> np.dtype:
+    """Dtype of composed keys in ``0..bound-1``: :func:`narrow_dtype`.
+
+    Taken at ``bound + 1`` so the dtype also holds every multiplier
+    that builds such keys (each radix is at most ``bound``): NumPy 2
+    rejects a Python-int operand its array's dtype cannot hold.
+    """
+    return narrow_dtype(bound + 1)
 
 
 def densify_keys(
@@ -63,8 +102,8 @@ def densify_keys(
         n_groups = len(uniq)
         stats["densify_sort"] += 1
         # np.unique's inverse is the rank remap applied already.
-        return inv.reshape(-1).astype(_target_dtype(n_groups), copy=False), n_groups
-    return remap.astype(_target_dtype(n_groups), copy=False)[keys], n_groups
+        return inv.reshape(-1).astype(key_dtype(n_groups), copy=False), n_groups
+    return remap.astype(key_dtype(n_groups), copy=False)[keys], n_groups
 
 
 def extend_keys(
@@ -79,11 +118,11 @@ def extend_keys(
 
     ``bound`` is the exclusive upper bound on ``keys`` (the running key
     product, or the group count after a densify); ``radix`` bounds
-    ``col``.  Returns the new ``(keys, bound)``, densifying first when
-    the extension would cross ``limit`` (and again, by sort, in the
-    pathological case where even dense ids cannot stay under the int64
-    guard).  Always allocates a fresh output array — cached prefix keys
-    are never mutated.
+    ``col``, a contiguous array of any integer dtype.  Returns the new
+    ``(keys, bound)``, densifying first when the extension would cross
+    ``limit`` (and again, by sort, in the pathological case where even
+    dense ids cannot stay under the int64 guard).  Always allocates a
+    fresh output array — cached prefix keys are never mutated.
     """
     r = max(int(radix), 1)
     if bound > limit // r:
@@ -91,7 +130,7 @@ def extend_keys(
     if bound > INT64_KEY_BOUND // r:  # pragma: no cover - needs > 2^62 groups
         keys, bound = densify_keys(keys, bound, limit, stats)
     new_bound = bound * r
-    target = _target_dtype(new_bound)
-    out = np.multiply(keys, r, dtype=target)
+    # Codes and keys lie below their bounds, so every cast is lossless.
+    out = np.multiply(keys, r, dtype=key_dtype(new_bound), casting="unsafe")
     np.add(out, col, out=out, casting="unsafe")
     return out, new_bound

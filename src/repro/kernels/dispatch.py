@@ -5,7 +5,11 @@ to.  It owns a relation's code matrix plus radix bounds and answers the
 grouping questions every entropy engine reduces to — group counts,
 dense ids, entropy — by composing mixed-radix keys
 (:mod:`repro.kernels.compose`) and routing them to the cheapest counting
-kernel (:mod:`repro.kernels.count`):
+kernel (:mod:`repro.kernels.count`).  Keys are composed only from
+narrow, contiguous per-column arrays (:meth:`GroupCounter.column`, one
+copy per column in :func:`compose.narrow_dtype` of its radix, made on
+first use), never from the strided columns of the int64 matrix.
+Counting runs on:
 
 * ``bincount`` when the composed key bound fits the O(n + K) counter
   table (:func:`count.bincount_limit` — the common case for the paper's
@@ -43,15 +47,18 @@ fast path the obs layer promises.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.kernels import compose, count
 from repro.obs.trace import ACTIVE as _TRACE
 
-#: Default element budget for the composed-prefix LRU (int32/int64 key
-#: arrays; 2^24 elements is 16 one-million-row prefixes, <= 128 MB).
+#: Default element budget for the composed-prefix LRU (key arrays of
+#: 1-8 bytes per element; 2^24 elements is 16 one-million-row prefixes,
+#: <= 128 MB).  The narrow column copies of :meth:`GroupCounter.column`
+#: are not counted: one per column, one byte per code for the paper's
+#: workloads.
 PREFIX_BUDGET = 1 << 24
 
 #: Largest bincount table the streamed lanes allocate (2^22 int64
@@ -61,11 +68,13 @@ PREFIX_BUDGET = 1 << 24
 CHUNK_TABLE_CAP = 1 << 22
 
 #: Default row-block size for chunk-streamed counting.  A streamed
-#: subset holds one int64 block per projected column plus compose
-#: temporaries, so the working set is roughly
-#: ``chunk_rows * 8 * (n_cols + 2)`` bytes — 2^18 rows keeps a 10-column
-#: stream around 25 MB, small enough to mine under ~100 MB budgets while
-#: still amortising per-chunk read/bincount overhead.
+#: subset holds one narrow block per projected column (1-8 bytes per
+#: code, :func:`compose.narrow_dtype`) plus one key buffer (1-8 bytes
+#: per row) and the counting temporaries, so the working set is at most
+#: ``chunk_rows * 8 * (n_cols + 2)`` bytes — 2^18 rows keeps even an
+#: all-int64 10-column stream around 25 MB, small enough to mine under
+#: ~100 MB budgets while still amortising per-chunk read/bincount
+#: overhead.
 DEFAULT_CHUNK_ROWS = 1 << 18
 
 _STAT_KEYS = (
@@ -83,23 +92,34 @@ _STAT_KEYS = (
 
 
 def _compose_chunk(
-    cols: Sequence[np.ndarray], radix: Tuple[int, ...]
+    cols: Sequence[np.ndarray], radix: Tuple[int, ...], dtype: np.dtype
 ) -> np.ndarray:
     """Mixed-radix keys for one row block, densify-free.
 
+    ``cols`` are the block's narrow code arrays, as the backends hand
+    them out; ``dtype`` holds the full key product
+    (:func:`compose.key_dtype`).  A one-column key is the column itself;
+    otherwise the first multiply allocates the one output buffer in
+    ``dtype`` (taking its width from ``dtype=``, not from the narrow
+    operands, which would wrap) and every later step runs in place.
+
     Densification ranks keys *globally* across all rows, so a streamed
     composition must never densify per chunk — the caller guarantees the
-    full key product fits int64 before choosing this lane.  Bit-wise the
-    keys equal what :func:`compose.extend_keys` yields when it never
+    full key product fits int64 before choosing this lane.  The key
+    values equal what :func:`compose.extend_keys` yields when it never
     densifies; when the in-memory path does densify, the remap is
     order-preserving so the ascending-order counts vector (and every
     entropy) still matches element for element.
     """
-    keys = np.ascontiguousarray(cols[0], dtype=np.int64)
-    for pos in range(1, len(cols)):
-        r = max(int(radix[pos]), 1)
-        keys = keys * r
-        keys += cols[pos]
+    if len(cols) == 1:
+        return cols[0]
+    # Codes lie below their radix and keys below the product, so every
+    # cast is lossless whatever integer dtype a backend hands out.
+    keys = np.multiply(cols[0], radix[1], dtype=dtype, casting="unsafe")
+    np.add(keys, cols[1], out=keys, casting="unsafe")
+    for pos in range(2, len(cols)):
+        np.multiply(keys, radix[pos], out=keys)
+        np.add(keys, cols[pos], out=keys, casting="unsafe")
     return keys
 
 
@@ -112,9 +132,13 @@ def stream_counts(
     """Group sizes accumulated from row blocks, in ascending key order.
 
     ``chunks`` yields one row block at a time as a sequence of aligned
-    per-column int64 code arrays (already projected to the attribute set
-    being grouped); ``radix`` gives the per-column exclusive bounds in
-    the same order.  Lane choice mirrors the in-memory dispatch:
+    per-column code arrays of any integer dtype — the backends hand out
+    each column's :func:`compose.narrow_dtype` — already projected to
+    the attribute set being grouped; ``radix`` gives the per-column
+    exclusive bounds in the same order.  The composed lanes read the
+    blocks as they come (:func:`_compose_chunk`); only the row-tuple
+    lane widens them to int64.  Lane choice mirrors the in-memory
+    dispatch:
 
     * key product fits ``min(limit, CHUNK_TABLE_CAP)`` — shared bincount
       table (:func:`count.chunked_bincount_counts`);
@@ -137,13 +161,14 @@ def stream_counts(
             stats["chunked_chunks"] += 1
             yield block
 
+    dtype = compose.key_dtype(bound)
     if 0 <= bound <= min(limit, CHUNK_TABLE_CAP):
         stats["chunked_bincount"] += 1
-        keyed = (_compose_chunk(cols, radix) for cols in counted(chunks))
+        keyed = (_compose_chunk(cols, radix, dtype) for cols in counted(chunks))
         return count.chunked_bincount_counts(keyed, bound)
     if bound <= compose.INT64_KEY_BOUND:
         stats["chunked_merge"] += 1
-        keyed = (_compose_chunk(cols, radix) for cols in counted(chunks))
+        keyed = (_compose_chunk(cols, radix, dtype) for cols in counted(chunks))
         return count.chunked_merge_counts(keyed)
     stats["chunked_wide"] += 1
     stacked = (
@@ -160,7 +185,7 @@ class GroupCounter:
     ----------
     codes:
         ``(N, n)`` integer code matrix (column ``j`` bounded by
-        ``radix[j]``).
+        ``radix[j]``).  Read once per column, by :meth:`column`.
     radix:
         Per-column exclusive code bounds (``Relation.radix``).
     prefix_budget:
@@ -168,7 +193,8 @@ class GroupCounter:
         prefix caching (every call composes from scratch).
     """
 
-    __slots__ = ("codes", "radix", "n_rows", "limit", "stats", "prefix_budget", "_prefix", "_prefix_elems")
+    __slots__ = ("codes", "radix", "n_rows", "limit", "stats", "prefix_budget",
+                 "_cols", "_prefix", "_prefix_elems")
 
     def __init__(
         self,
@@ -182,12 +208,25 @@ class GroupCounter:
         self.limit = count.bincount_limit(self.n_rows)
         self.prefix_budget = int(prefix_budget)
         self.stats: Dict[str, int] = dict.fromkeys(_STAT_KEYS, 0)
+        self._cols: List[Optional[np.ndarray]] = [None] * len(self.radix)
         self._prefix: "OrderedDict[Tuple[int, ...], Tuple[np.ndarray, int]]" = OrderedDict()
         self._prefix_elems = 0
 
     # ------------------------------------------------------------------ #
     # Composition with prefix sharing
     # ------------------------------------------------------------------ #
+
+    def column(self, j: int) -> np.ndarray:
+        """Column ``j`` as a contiguous :func:`compose.narrow_dtype` array.
+
+        The only input key composition reads.  Made on first use, once
+        per column, and kept for the counter's lifetime.
+        """
+        col = self._cols[j]
+        if col is None:
+            col = self.codes[:, j].astype(compose.narrow_dtype(self.radix[j]))
+            self._cols[j] = col
+        return col
 
     def _remember(self, idx: Tuple[int, ...], keys: np.ndarray, bound: int) -> None:
         if self.prefix_budget <= 0 or len(idx) < 2 or idx in self._prefix:
@@ -219,13 +258,13 @@ class GroupCounter:
                     break
         if start == 0:
             j = idx[0]
-            keys = self.codes[:, j]
+            keys = self.column(j)
             bound = max(self.radix[j], 1)
             start = 1
         for pos in range(start, len(idx)):
             j = idx[pos]
             keys, bound = compose.extend_keys(
-                keys, bound, self.codes[:, j], self.radix[j], self.limit, self.stats
+                keys, bound, self.column(j), self.radix[j], self.limit, self.stats
             )
             self.stats["composed"] += 1
             self._remember(idx[: pos + 1], keys, bound)
@@ -320,21 +359,20 @@ class GroupCounter:
 
         Bit-identical to :meth:`counts` — the parity hook for the
         out-of-core backends, which run the same :func:`stream_counts`
-        lanes over chunks read from disk instead of matrix slices.
-        Bypasses the prefix cache (streamed runs own no composed arrays).
+        lanes over narrow chunks read from disk instead of slices of
+        :meth:`column`.  Bypasses the prefix cache (streamed runs own no
+        composed arrays).
         """
         if not idx:
             n = self.n_rows
             return np.full(min(1, n), n, dtype=np.int64)
         chunk_rows = max(int(chunk_rows), 1)
+        cols = [self.column(j) for j in idx]
 
         def blocks():
             for start in range(0, self.n_rows, chunk_rows):
                 stop = start + chunk_rows
-                yield [
-                    np.ascontiguousarray(self.codes[start:stop, j], dtype=np.int64)
-                    for j in idx
-                ]
+                yield [col[start:stop] for col in cols]
 
         return stream_counts(
             blocks(), tuple(self.radix[j] for j in idx), self.limit, self.stats

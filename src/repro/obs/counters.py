@@ -18,8 +18,6 @@ exec       ``exec.persist_hits`` — batch oracles (persisted-entropy
 approx     ``approx.escalations`` (decisions re-decided exactly),
            ``approx.exact_evals`` (full-relation entropies those cost)
            — the sampled engine.
-engine     ``engine.fast_entropies`` — the exact engine (entropies it
-           evaluated counts-first, i.e. its memo misses).
 delta      ``delta.patched``, ``delta.rebuilt``, ``delta.dropped`` —
            delta-tracking oracles (memo entries patched in place vs.
            recomputed vs. evicted, cumulative across advances).
@@ -55,9 +53,6 @@ _ORACLE_EXTRAS = (
     ("exact_evals", "approx.exact_evals"),
 )
 
-#: Attributes lifted off the oracle's engine (the exact engine).
-_ENGINE_EXTRAS = ("fast_entropies",)
-
 
 def flatten_counters(oracle: Any,
                      extra: Optional[Mapping[str, int]] = None
@@ -77,11 +72,6 @@ def flatten_counters(oracle: Any,
         value = getattr(oracle, attr, None)
         if value is not None:
             out[key] = int(value)
-    engine = getattr(oracle, "engine", None)
-    for attr in _ENGINE_EXTRAS:
-        value = getattr(engine, attr, None)
-        if value is not None:
-            out["engine." + attr] = int(value)
     if getattr(oracle, "tracks_deltas", False):
         out["delta.patched"] = int(oracle.patched)
     if extra:

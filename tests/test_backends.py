@@ -29,7 +29,6 @@ from repro.backends import (
     StoreError,
     have_duckdb,
     ingest_csv,
-    narrow_dtype,
     open_backend,
     open_store_relation,
     read_manifest,
@@ -41,7 +40,7 @@ from repro.data.loaders import from_csv
 from repro.data.relation import Relation
 from repro.exec import persist
 from repro.kernels import count as kcount
-from repro.kernels import dispatch
+from repro.kernels import dispatch, narrow_dtype
 
 
 def subsets(n_cols, max_size=None):
@@ -169,6 +168,53 @@ class TestStreamCounts:
             want = dense.counts(idx)
             got = dense.counts_chunked(idx, chunk_rows=chunk_rows)
             assert np.array_equal(want, got), idx
+
+
+class TestStoreChunkContract:
+    """Backends hand out narrow blocks; counting them matches memory."""
+
+    @pytest.fixture
+    def narrow_rel(self):
+        rng = np.random.default_rng(17)
+        radices = (200, 3000, 70_000)  # uint8, uint16, int32 columns
+        codes = np.column_stack(
+            [rng.integers(0, r, 400) for r in radices]
+        ).astype(np.int64)
+        codes[0] = [r - 1 for r in radices]
+        return Relation(codes, ["u8", "u16", "i32"], name="narrow")
+
+    @pytest.fixture
+    def narrow_store(self, narrow_rel, tmp_path):
+        path = str(tmp_path / "narrow-store")
+        write_store(narrow_rel, path)
+        return path
+
+    def test_chunks_come_in_manifest_dtypes(self, narrow_rel, narrow_store):
+        dtypes = read_manifest(narrow_store)["dtypes"]
+        assert dtypes == ["uint8", "uint16", "int32"]
+        for back in (MmapBackend(narrow_store), NumpyBackend(narrow_rel)):
+            blocks = list(back.iter_chunks((0, 1, 2), 64))
+            assert sum(len(b[0]) for b in blocks) == narrow_rel.n_rows
+            for block in blocks:
+                assert [a.dtype.name for a in block] == dtypes
+                assert all(a.flags.c_contiguous for a in block)
+
+    def test_fingerprint_unchanged(self, narrow_rel, narrow_store):
+        want = persist.relation_fingerprint(narrow_rel)
+        assert MmapBackend(narrow_store).fingerprint() == want
+        # Streamed from the narrow files, hashed as int64 bytes.
+        assert persist.relation_fingerprint(open_store_relation(narrow_store)) == want
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, None])
+    def test_store_counts_match_memory(self, narrow_rel, narrow_store, chunk_rows):
+        stored = open_store_relation(
+            narrow_store, chunk_rows=chunk_rows or narrow_rel.n_rows
+        )
+        for idx in subsets(3):
+            want = narrow_rel.kernels.counts(idx)
+            assert np.array_equal(stored.kernels.counts(idx), want), idx
+        stats = stored.kernels.snapshot()
+        assert stats["chunked_bincount"] > 0 and stats["chunked_merge"] > 0
 
 
 # --------------------------------------------------------------------- #

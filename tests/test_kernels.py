@@ -29,6 +29,7 @@ from repro.kernels import (
     entropy_from_counts,
     grouping_order,
     key_counts,
+    narrow_dtype,
     sort_counts,
     sort_ids,
     sort_ids_and_counts,
@@ -307,6 +308,91 @@ class TestDispatcher:
         assert sum(delta.values()) > 0
         # Absolute counters include the pre-baseline activity.
         assert sum(gc.snapshot().values()) > sum(delta.values())
+
+
+#: Radices at every edge of ``narrow_dtype``; two radix-200 columns
+#: make a product (40,000) that a ``uint8`` multiply would wrap.
+WIDTH_RADICES = (2, 200, 255, 256, 257, 65_536, 65_537)
+
+
+def width_boundary_relation(seed):
+    """3-5 columns with radices from WIDTH_RADICES (always two of 200)
+    plus one column of codes >= 2**31, 50-300 rows, columns shuffled.
+
+    Built with ``Relation(codes, ...)`` so every radix is exactly the
+    drawn one; ``from_codes`` would densify the codes.
+    """
+    rng = np.random.default_rng(seed)
+    n_rows = int(rng.integers(50, 301))
+    radices = [200, 200] + [
+        int(rng.choice(WIDTH_RADICES)) for _ in range(int(rng.integers(1, 4)))
+    ]
+    cols = [rng.integers(0, r, n_rows) for r in radices]
+    cols.append(rng.choice([0, 5, 2**31, 2**31 + 7, 2**33 + 1], n_rows))
+    codes = np.column_stack(cols).astype(np.int64)
+    for j, r in enumerate(radices + [2**33 + 2]):
+        codes[rng.integers(n_rows), j] = r - 1
+    codes = codes[:, rng.permutation(codes.shape[1])]
+    return Relation(codes, [f"c{j}" for j in range(codes.shape[1])])
+
+
+class TestWidthBoundaries:
+    """Narrow columns and narrow keys give the int64 reference's bits."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_subset_matches_int64_reference(self, seed):
+        r = width_boundary_relation(seed)
+        n = r.n_rows
+        cached = GroupCounter(r.codes, r.radix)
+        uncached = GroupCounter(r.codes, r.radix, prefix_budget=0)
+        for j in range(r.n_cols):
+            col = cached.column(j)
+            assert col.dtype == narrow_dtype(r.radix[j])
+            assert col.flags.c_contiguous
+            assert np.array_equal(col, r.codes[:, j])
+        assert {cached.column(j).dtype for j in range(r.n_cols)} >= {
+            np.dtype(np.uint8), np.dtype(np.int64)
+        }
+        for size in range(1, r.n_cols + 1):
+            for idx in itertools.combinations(range(r.n_cols), size):
+                want_ids, want_n = legacy_group_ids(r.codes, r.radix, idx)
+                want_counts = np.bincount(want_ids, minlength=want_n)
+                want_h = entropy_from_counts(want_counts, n)
+                for gc in (cached, uncached):
+                    counts = gc.counts(idx)
+                    assert counts.dtype == want_counts.dtype
+                    assert np.array_equal(counts, want_counts), idx
+                    ids, n_groups = gc.ids(idx)
+                    assert n_groups == want_n
+                    assert ids.dtype == want_ids.dtype
+                    assert np.array_equal(ids, want_ids), idx
+                    fused_ids, fused_counts = gc.ids_and_counts(idx)
+                    assert np.array_equal(fused_ids, want_ids), idx
+                    assert np.array_equal(fused_counts, want_counts), idx
+                    assert gc.entropy(idx) == want_h
+                for chunk_rows in (1, 7, n):
+                    streamed = uncached.counts_chunked(idx, chunk_rows=chunk_rows)
+                    assert np.array_equal(streamed, want_counts), (idx, chunk_rows)
+        assert uncached.stats["chunked_bincount"] > 0
+        assert uncached.stats["chunked_merge"] + uncached.stats["chunked_wide"] > 0
+
+    @pytest.mark.parametrize("radix,rows,want", [
+        # 199 * 200 + 199 needs 16 bits: a uint8 product would wrap.
+        ((200, 200), [[199, 199], [0, 0], [199, 0], [1, 199]],
+         [39_999, 0, 39_800, 399]),
+        # A constant column times a radix-256 column: the key dtype must
+        # hold the multiplier 256 too, or NumPy 2 raises.
+        ((1, 256), [[0, 255], [0, 0], [0, 7]], [255, 0, 7]),
+    ], ids=["uint8-product", "multiplier-at-bound"])
+    def test_narrow_products_neither_wrap_nor_raise(self, radix, rows, want):
+        gc = GroupCounter(np.array(rows, dtype=np.int64), radix)
+        assert gc.column(0).dtype == np.uint8
+        keys, bound = gc.compose_keys((0, 1))
+        assert bound == radix[0] * radix[1]
+        assert keys.tolist() == want
+        counts = np.unique(want, return_counts=True)[1]
+        assert np.array_equal(gc.counts((0, 1)), counts)
+        assert np.array_equal(gc.counts_chunked((0, 1), chunk_rows=2), counts)
 
 
 class TestEnginesUseKernels:

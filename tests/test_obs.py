@@ -285,11 +285,9 @@ class TestFlattenCounters:
             m.mine_mvds(0.0)
             counters = m.counters()
         assert counters["oracle.queries"] > 0
-        assert set(counters) >= {
-            "oracle.queries", "oracle.evals", "engine.fast_entropies",
-        }
-        assert not {"engine.products", "engine.cache_hits",
-                    "engine.cache_misses", "kernel.hash"} & set(counters)
+        assert set(counters) >= {"oracle.queries", "oracle.evals"}
+        assert not any(k.startswith("engine.") for k in counters)
+        assert "kernel.hash" not in counters
         assert all("." in k for k in counters)
         assert "delta.patched" not in counters  # deltas not tracked
 
