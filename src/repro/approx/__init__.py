@@ -22,8 +22,9 @@ This subsystem makes sampling sound for *decisions* instead of values:
 Escalation is what keeps the output exact: the miners' verdicts — and
 hence the mined minimal separators, full MVDs and schemas — match the
 exact engine's, while the overwhelming majority of comparisons are decided
-on the sample in O(sample) time.  Reached as ``engine="approx"`` from
-``make_oracle`` / ``Maimon`` / the CLI / the serving layer.
+on the sample, in time linear in the groups of the comparison's top term.
+Reached as ``engine="approx"`` from ``make_oracle`` / ``Maimon`` / the
+CLI / the serving layer.
 """
 
 from repro.approx.bounds import (

@@ -164,12 +164,16 @@ def decision_interval(
     terms are evaluated on the *same* sample rows and their sampling
     errors mostly cancel (``H(XY) + H(XZ) - H(XYZ) - H(X)`` — a row that
     lands in a rare XYZ group lands in the corresponding XY/XZ/X groups
-    too).  The engine therefore evaluates the combination *row-wise*:
-    with ``d(r) = sum_i c_i * (-log2 p_hat_i(proj_i(r)))`` the per-row
-    information combination, ``est = mean(d)`` is exactly the plug-in
-    measure and ``var = var(d)`` its delta-method variance — typically
-    orders of magnitude below the per-term sum.  This function turns
-    those moments into the decision interval:
+    too).  The engine therefore takes the moments of the combination
+    itself: with ``d(r) = sum_i c_i * (-log2 p_hat_i(proj_i(r)))`` the
+    per-row information combination, ``est = mean(d)`` is exactly the
+    plug-in measure and ``var = var(d)`` its delta-method variance —
+    typically orders of magnitude below the per-term sum.  ``d`` is
+    constant on the groups of the combination's top term (the union of
+    its masks), so the engine computes both as count-weighted sums over
+    those groups (``est = w.d / n``, ``var = w.(d - est)^2 / n``), never
+    a sample-length vector.  This function turns those moments into the
+    decision interval:
 
     * deviation — ``z * sqrt(var / n)`` (``clt``; one combination, one
       quantile, no union bound) or the bounded-differences radius

@@ -15,10 +15,20 @@ drive the miners — are made through the confidence intervals of
   full relation, persistable on disk, built through ``make_oracle``) and
   decide on the exact value.
 
+Each interval comes from the moments of the per-row information
+combination ``d(r) = sum coeff * -log2 p_hat(proj_mask(r))`` over the
+sample.  Every term of an I or J combination is constant on the groups of
+its *top term* (the union of its masks), and so is ``d``: the engine keeps
+one dense group-id vector and the group counts per mask, reads ``d`` once
+per top-term group at a representative row, and takes the mean and
+variance as count-weighted sums.  A decision therefore costs
+O(terms x top-term groups), not O(terms x sample rows); the row-wise
+form is :func:`repro.reference.rowwise_interval`.
+
 Escalation makes the mined output exact — every verdict the miners see is
 either interval-certain (and the interval contains the exact value with
 the configured confidence) or literally the exact engine's verdict — while
-the sample answers the bulk of comparisons in O(sample) time.  Confidence
+the sample answers the bulk of comparisons.  Confidence
 is *per decision*: ``confidence=0.95`` means each individual comparison
 that is decided on the sample is decided on an interval that covers the
 exact value with probability >= 0.95; a wrong interval costs correctness
@@ -48,6 +58,7 @@ from repro.entropy.estimators import (
 from repro.entropy.oracle import AttrsLike, EntropyOracle, MITriple, make_oracle
 from repro.approx.bounds import BOUND_METHODS, decision_interval
 from repro.approx.sampler import get_sample
+from repro.kernels import narrow_dtype, representatives
 from repro.lattice import AttrSet, mask_of
 
 #: Default sample size: large enough that interval widths sit well under
@@ -62,7 +73,7 @@ DEFAULT_SAMPLE_SEED = 0
 #: Saturation guards.  The delta-method variance and the signed
 #: Miller-Madow centring both assume the sample dwarfs each term's
 #: support (``n >> K``): when a projection of the sample has support
-#: approaching ``n``, the row-wise information vector flattens (variance
+#: approaching ``n``, the information combination flattens (variance
 #: collapses towards zero), the chi-square bias model breaks, and the
 #: interval becomes confidently wrong precisely in the regime where
 #: sampling fabricates dependencies (the paper's N1 obstacle).  A
@@ -157,16 +168,26 @@ class ApproxEntropyEngine(EntropyOracle):
         self._sample_memo: Dict[int, EntropySample] = {}  # parallel to _memo
         #: Singleton fraction ``f1/n`` per mask (Good-Turing missing mass).
         self._f1_memo: Dict[int, float] = {}
-        #: Per-row information vectors ``-log2 p_hat(proj_mask(row))`` over
-        #: the sample, the raw material of combination intervals.  Capped
-        #: (each is ``sample_rows`` floats); evicted vectors recompute.
-        self._info_memo: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._info_capacity = 512
+        #: Per-mask groupings of the sample: dense group ids (narrowed to
+        #: :func:`~repro.kernels.narrow_dtype` of the group count) and the
+        #: group counts, the raw material of combination intervals.
+        #: Capped (each id vector is ``sample_rows`` long); evicted
+        #: groupings regroup.
+        self._groups_memo: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = (
+            OrderedDict()
+        )
+        self._groups_capacity = 512
+        #: Per top-term mask: one representative sample row per group and
+        #: the group counts (see :meth:`_interval_full`).  Capped like the
+        #: groupings: a top term can have up to ``sample_rows`` groups.
+        self._top_memo: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = (
+            OrderedDict()
+        )
         #: Verdict memo keyed by the decision itself (masks + threshold).
         #: The miners repeat many comparisons verbatim (separator probes
         #: share candidates across pairs); the exact oracle absorbs those
-        #: repeats in its entropy memo, whereas recomputing a sample-sized
-        #: combination vector per repeat would dominate the sampled tier.
+        #: repeats in its entropy memo, whereas regathering every term at
+        #: the top term's groups per repeat would dominate the sampled tier.
         self._decision_memo: Dict[Tuple, bool] = {}
         self._exact: Optional[EntropyOracle] = None
         self.escalations = 0
@@ -177,53 +198,61 @@ class ApproxEntropyEngine(EntropyOracle):
 
     def _compute(self, attrs: AttrSet) -> float:
         self.evals += 1
-        s, _ = self._materialise(attrs.mask)
+        s, _, _ = self._materialise(attrs.mask)
         return s.value
 
-    def _materialise(self, m: int) -> Tuple[EntropySample, np.ndarray]:
-        """Group the sample on mask ``m``: count statistics + info vector.
+    def _materialise(self, m: int) -> Tuple[EntropySample, np.ndarray, np.ndarray]:
+        """Group the sample on mask ``m``: count statistics, ids, counts.
 
-        One grouping pass yields both products; the info vector may have
-        been evicted while the (tiny) ``EntropySample`` survived, in which
-        case only the vector is rebuilt.
+        One grouping pass yields all three; the grouping may have been
+        evicted while the (tiny) ``EntropySample`` survived, in which
+        case only the grouping is redone.
         """
         n = self.sample.n_rows
-        info = self._info_memo.get(m)
+        groups = self._groups_memo.get(m)
         stats = self._sample_memo.get(m)
-        if info is not None and stats is not None:
-            self._info_memo.move_to_end(m)
-            return stats, info
+        if groups is not None and stats is not None:
+            self._groups_memo.move_to_end(m)
+            return stats, groups[0], groups[1]
         if n == 0 or m == 0:
             counts = np.full(1 if n else 0, n, dtype=np.int64)
-            ids = np.zeros(n, dtype=np.int64)
+            ids = np.zeros(n, dtype=np.uint8)
         else:
             # Fused kernel call: dense ids and group counts from one
-            # grouping pass (the counts are needed for the moments, the
-            # ids for the per-row info vector — no separate bincount).
+            # grouping pass (no separate bincount for the moments).
             idx = self.sample.col_indices(AttrSet.from_mask(m))
             ids, counts = self.sample.kernels.ids_and_counts(idx)
-        info = -np.log2(counts[ids] / n) if n else np.zeros(0)
+            ids = ids.astype(narrow_dtype(len(counts)), copy=False)
         if stats is None:
             stats = sample_moments(counts, n, self.engine.estimator)
             self._sample_memo[m] = stats
             self._f1_memo[m] = float((counts == 1).sum()) / n if n else 0.0
             self._memo.setdefault(m, stats.value)
-        self._info_memo[m] = info
-        while len(self._info_memo) > self._info_capacity:
-            self._info_memo.popitem(last=False)
-        return stats, info
+        self._groups_memo[m] = (ids, counts)
+        while len(self._groups_memo) > self._groups_capacity:
+            self._groups_memo.popitem(last=False)
+        return stats, ids, counts
 
-    def _stats_of(self, m: int) -> Tuple[EntropySample, np.ndarray]:
+    def _stats_of(self, m: int) -> Tuple[EntropySample, np.ndarray, np.ndarray]:
         """Decision-path access to mask ``m`` (one logical query)."""
         self.queries += 1
-        info = self._info_memo.get(m)
-        stats = self._sample_memo.get(m)
-        if info is not None and stats is not None:
-            self._info_memo.move_to_end(m)
-            return stats, info
-        if stats is None:
-            self.evals += 1  # eviction-rebuilds of the vector are not evals
+        if m not in self._sample_memo:
+            self.evals += 1  # regrouping an evicted grouping is not an eval
         return self._materialise(m)
+
+    def _top_groups(self, top: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(representative rows, counts)`` of mask ``top``'s groups."""
+        hit = self._top_memo.get(top)
+        if hit is not None:
+            self._top_memo.move_to_end(top)
+            return hit
+        _, ids, counts = self._materialise(top)
+        rows = representatives(ids, len(counts))
+        hit = (rows.astype(narrow_dtype(len(ids)), copy=False), counts)
+        self._top_memo[top] = hit
+        while len(self._top_memo) > self._groups_capacity:
+            self._top_memo.popitem(last=False)
+        return hit
 
     def _interval(self, terms: Sequence[Tuple[int, float]]):
         """Decision interval for ``sum coeff * H(mask)`` over the sample."""
@@ -233,6 +262,16 @@ class ApproxEntropyEngine(EntropyOracle):
     def _interval_full(self, terms: Sequence[Tuple[int, float]]):
         """``(lo, hi, saturated)`` — the interval plus the saturation flag.
 
+        The per-row information combination
+        ``d(r) = sum coeff * -log2 p_hat(proj_mask(r))`` is constant on the
+        groups of the *top term*, the union of the terms' masks (XYZ for
+        I, key plus all dependents for J), because every term's mask is a
+        subset of it.  So its mean and variance over the sample's rows are
+        count-weighted sums over those groups: ``d`` is read once per
+        group, at a representative row, and with ``w`` the group counts
+        ``est = w.d / n`` and ``var = w.(d - est)^2 / n``.  The cost is
+        O(terms x groups), not O(terms x sample rows).
+
         ``saturated`` is True when any term's projection trips the
         support/missing-mass guards (see :data:`SATURATION_SUPPORT`),
         i.e. the interval's variance and bias model are not to be
@@ -241,22 +280,28 @@ class ApproxEntropyEngine(EntropyOracle):
         n = self.sample.n_rows
         if n == 0:
             return (0.0, 0.0, False)
-        combo = None
+        grouped = []
+        top = 0
         mm = 0.0
         spread = 0.0
         saturated = False
         for m, coeff in terms:
-            stats, info = self._stats_of(m)
-            part = coeff * info
-            combo = part if combo is None else combo + part
+            stats, ids, counts = self._stats_of(m)
+            grouped.append((coeff, ids, counts))
+            top |= m
             mm += coeff * (stats.support - 1)
             spread += abs(coeff)
             if (stats.support > SATURATION_SUPPORT * n
                     or self._f1_memo.get(m, 0.0) > SATURATION_SINGLETONS):
                 saturated = True
         mm /= 2.0 * n * LN2
-        est = float(combo.mean())
-        var = float(combo.var())
+        reps, weights = self._top_groups(top)
+        combo = None
+        for coeff, ids, counts in grouped:
+            part = coeff * -np.log2(counts[ids[reps]] / n)
+            combo = part if combo is None else combo + part
+        est = float(weights @ combo) / n
+        var = float(weights @ np.square(combo - est)) / n
         lo, hi = decision_interval(
             est, var, n, mm, self._delta, self.bound, spread=spread
         )
@@ -398,7 +443,8 @@ class ApproxEntropyEngine(EntropyOracle):
         self._memo.clear()
         self._sample_memo.clear()
         self._f1_memo.clear()
-        self._info_memo.clear()
+        self._groups_memo.clear()
+        self._top_memo.clear()
         self._decision_memo.clear()
         self._consistency.clear()
         self.relation = new_relation

@@ -456,6 +456,11 @@ def cmd_approx_bench(args) -> int:
     for r in payload["runs"]:
         table.add(r)
     table.show()
+    # The scale-bench JSON is shared with kernel-bench: keep the "kernels"
+    # block it merged into the file (see cmd_kernel_bench).
+    kernels = _read_bench_json(args.json).get("kernels")
+    if kernels is not None:
+        payload["kernels"] = kernels
     path = write_bench_json(payload, args.json)
     print(f"wrote {path}")
     # Correctness is gated (CI runs this with small sizes): the approx arm
@@ -475,11 +480,17 @@ def cmd_approx_bench(args) -> int:
     return 1 if failed else 0
 
 
+def _read_bench_json(path: str) -> dict:
+    """The bench payload already at ``path``; empty when there is none."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        return {}
+
+
 def cmd_kernel_bench(args) -> int:
     """Counts-first kernel vs legacy sort bench; merges BENCH_scale.json."""
-    import json as _json
-    import os as _os
-
     from repro.bench.harness import kernel_benchmark, write_bench_json
 
     payload = kernel_benchmark(
@@ -499,9 +510,8 @@ def cmd_kernel_bench(args) -> int:
     # The scale-bench JSON is shared with approx-bench: fold this payload in
     # under a "kernels" key so the existing approx trajectory fields stay
     # byte-for-byte comparable across runs, rather than replacing the file.
-    if _os.path.exists(args.json):
-        with open(args.json) as fh:
-            merged = _json.load(fh)
+    merged = _read_bench_json(args.json)
+    if merged:
         merged["kernels"] = payload
         path = write_bench_json(merged, args.json)
     else:

@@ -136,7 +136,8 @@ class Relation:
     """
 
     __slots__ = (
-        "codes", "columns", "domains", "name", "_col_index", "_radix", "_cards", "_kernel"
+        "codes", "columns", "domains", "name", "_col_index", "_radix", "_cards",
+        "_kernel", "_fingerprint",
     )
 
     def __init__(
@@ -179,6 +180,10 @@ class Relation:
         self._cards: List[Optional[int]] = [None] * len(self.columns)
         # Lazy counts-first grouping dispatcher (see :attr:`kernels`).
         self._kernel = None
+        # sha256 state after the column bytes, kept by
+        # :func:`repro.exec.persist.relation_fingerprint` so the codes
+        # are hashed once per relation.
+        self._fingerprint = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -489,14 +494,17 @@ class Relation:
         return {tuple(int(v) for v in row) for row in self.codes[:, idx]}
 
     def __getstate__(self):
-        # The kernel dispatcher holds cached composed-key arrays; rebuild
-        # it lazily on the other side instead of shipping the cache.
-        return {s: getattr(self, s) for s in self.__slots__ if s != "_kernel"}
+        # The kernel dispatcher holds cached composed-key arrays and the
+        # hash state cannot be pickled; both are rebuilt lazily on the
+        # other side.
+        lazy = ("_kernel", "_fingerprint")
+        return {s: getattr(self, s) for s in self.__slots__ if s not in lazy}
 
     def __setstate__(self, state):
         for k, v in state.items():
             setattr(self, k, v)
         self._kernel = None
+        self._fingerprint = None
 
     def __len__(self) -> int:
         return self.n_rows

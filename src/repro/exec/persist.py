@@ -67,12 +67,28 @@ def fingerprint_stream(
     stores (:mod:`repro.backends`), so a store ingested from a CSV and
     the same CSV loaded in memory fingerprint identically.
     """
+    return _digest(_hash_columns(n_rows, n_cols, columns, column_chunks), params)
+
+
+def _hash_columns(
+    n_rows: int,
+    n_cols: int,
+    columns: Iterable[str],
+    column_chunks: Iterable[Iterable[np.ndarray]],
+):
+    """sha256 state after the shape header and the column bytes."""
     h = hashlib.sha256()
     h.update(f"v{CACHE_FORMAT}:{n_rows}x{n_cols}".encode())
     for name, chunks in zip(columns, column_chunks):
         h.update(b"\x00" + name.encode())
         for chunk in chunks:
             h.update(np.ascontiguousarray(chunk, dtype=np.int64).tobytes())
+    return h
+
+
+def _digest(state, params: Iterable[object]) -> str:
+    """Fold ``params`` into a copy of a column-hash state; the digest."""
+    h = state.copy()
     for p in params:
         h.update(b"\x00" + repr(p).encode())
     return h.hexdigest()[:40]
@@ -109,14 +125,23 @@ def relation_fingerprint(relation: Relation, params: Iterable[object] = ()) -> s
     is chunk-streamed (:func:`fingerprint_stream`): peak extra memory is
     one :data:`FINGERPRINT_CHUNK_ROWS` block per step, never a full
     column copy, and store-backed relations are read straight from disk.
+
+    An in-memory :class:`Relation` is immutable, so it keeps the hash
+    state after its column bytes (``Relation._fingerprint``): its codes
+    are hashed once, and each call folds ``params`` into a copy.
     """
-    return fingerprint_stream(
-        relation.n_rows,
-        relation.n_cols,
-        relation.columns,
-        _column_chunks(relation, FINGERPRINT_CHUNK_ROWS),
-        params,
-    )
+    cached = isinstance(relation, Relation)
+    state = relation._fingerprint if cached else None
+    if state is None:
+        state = _hash_columns(
+            relation.n_rows,
+            relation.n_cols,
+            relation.columns,
+            _column_chunks(relation, FINGERPRINT_CHUNK_ROWS),
+        )
+        if cached:
+            relation._fingerprint = state
+    return _digest(state, params)
 
 
 def _encode_mask(mask: int) -> str:

@@ -13,6 +13,9 @@ else) uses these as ground truth on small inputs:
   consistency closure in :mod:`repro.core.fullmvd`);
 * all minimal transversals and maximal independent sets (vs the Berge and
   JPY enumerators);
+* the approx engine's decision interval from sample-length information
+  vectors, one float per sample row and term (vs the count-weighted sums
+  over the top term's groups in :mod:`repro.approx.engine`);
 * the materialised join of a decomposition (vs the Yannakakis count).
 
 These are exponential; keep inputs to roughly n <= 7 attributes.
@@ -24,6 +27,8 @@ import itertools
 import math
 from collections import Counter
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.common import TOL, attrset
 from repro.core.budget import SearchBudget, ensure_budget
@@ -315,6 +320,59 @@ def search_full_mvds(
             if not any(other.strictly_refines(phi) for other in out if other is not phi)
         ]
     return sorted(set(out))
+
+
+# --------------------------------------------------------------------- #
+# Approx decision intervals
+# --------------------------------------------------------------------- #
+
+def rowwise_interval(
+    sample: Relation,
+    terms: Sequence[Tuple[int, float]],
+    delta: float,
+    method: str = "clt",
+) -> Tuple[float, float, bool]:
+    """``(lo, hi, saturated)`` for ``sum coeff * H(mask)`` over ``sample``.
+
+    Builds the per-row information combination
+    ``d(r) = sum coeff * -log2 p_hat(proj_mask(r))`` as one float per
+    sample row, grouping each term with ``np.unique``, and feeds its
+    mean and variance to :func:`~repro.approx.bounds.decision_interval`.
+    Same contract as ``ApproxEntropyEngine._interval_full`` (including
+    the saturation guards), which must agree to float rounding.
+    """
+    from repro.approx.bounds import decision_interval
+    from repro.approx.engine import SATURATION_SINGLETONS, SATURATION_SUPPORT
+    from repro.entropy.estimators import LN2
+
+    n = sample.n_rows
+    if n == 0:
+        return (0.0, 0.0, False)
+    combo = np.zeros(n)
+    mm = 0.0
+    spread = 0.0
+    saturated = False
+    for m, coeff in terms:
+        idx = [j for j in range(sample.n_cols) if m >> j & 1]
+        if idx:
+            _, inv, counts = np.unique(
+                sample.codes[:, idx], axis=0, return_inverse=True, return_counts=True
+            )
+            inv = inv.reshape(-1)
+        else:
+            inv = np.zeros(n, dtype=np.int64)
+            counts = np.array([n])
+        combo += coeff * -np.log2(counts[inv] / n)
+        mm += coeff * (len(counts) - 1)
+        spread += abs(coeff)
+        if (len(counts) > SATURATION_SUPPORT * n
+                or (counts == 1).sum() / n > SATURATION_SINGLETONS):
+            saturated = True
+    mm /= 2.0 * n * LN2
+    lo, hi = decision_interval(
+        float(combo.mean()), float(combo.var()), n, mm, delta, method, spread=spread
+    )
+    return lo, hi, saturated
 
 
 # --------------------------------------------------------------------- #

@@ -10,7 +10,10 @@ Three layers of assurance, mirroring the subsystem's structure:
 * the **engine** reproduces the exact miner's output bit-for-bit on the
   Table 2 surrogates — *with a deliberately small sample*, so the parity
   comes from escalation actually firing, not from the sample being the
-  whole relation.
+  whole relation;
+* its group-wise decision intervals match the row-wise reference
+  (:func:`repro.reference.rowwise_interval`) on hypothesis relations, and
+  so do whole runs of decisions.
 """
 
 from __future__ import annotations
@@ -29,13 +32,16 @@ from repro.approx.bounds import (
 )
 from repro.approx.engine import ApproxEntropyEngine
 from repro.approx.sampler import clear_sample_cache, get_sample, stratified_sample
+from repro.common import TOL
 from repro.core.maimon import Maimon
 from repro.api.specs import EngineSpec
 from repro.data import datasets
 from repro.data.generators import markov_tree
+from repro.data.relation import Relation
 from repro.entropy.estimators import EntropySample, sample_moments
 from repro.entropy.oracle import make_oracle
 from repro.lattice import attrset
+from repro.reference import rowwise_interval
 
 from conftest import random_relation
 
@@ -78,8 +84,6 @@ class TestSampler:
         col0 = (rng.random(2000) < 0.9).astype(np.int64)
         col1 = rng.integers(0, 50, size=2000)
         codes = np.stack([col0, col1], axis=1)
-        from repro.data.relation import Relation
-
         r = Relation(codes, ["a", "b"], domains=None)
         s = stratified_sample(r, 200, seed=4, column=0)
         assert s.n_rows == 200
@@ -305,6 +309,158 @@ class TestEngine:
             ApproxEntropyEngine(r, sample_rows=0)
         with pytest.raises(ValueError, match="bound"):
             ApproxEntropyEngine(r, bound="bogus")
+
+
+# --------------------------------------------------------------------- #
+# Group-wise intervals against the row-wise reference
+# --------------------------------------------------------------------- #
+
+
+class RowwiseApproxEngine(ApproxEntropyEngine):
+    """The engine with :func:`rowwise_interval` as its interval.
+
+    Each term still goes through ``_stats_of``, so queries and evals are
+    counted as the group-wise engine counts them."""
+
+    def _interval_full(self, terms):
+        for m, _ in terms:
+            self._stats_of(m)
+        return rowwise_interval(self.sample, terms, self._delta, self.bound)
+
+
+def _mi_terms(ym, zm, xm):
+    return [(xm | ym, 1.0), (xm | zm, 1.0), (xm | ym | zm, -1.0), (xm, -1.0)]
+
+
+def _j_terms(key, deps):
+    everything = key
+    for dm in deps:
+        everything |= dm
+    terms = [(key | dm, 1.0) for dm in deps]
+    return terms + [(key, -(len(deps) - 1.0)), (everything, -1.0)]
+
+
+def _split(rng, n_cols, parts, empty_first):
+    """``parts`` disjoint masks over the columns; all but the first
+    non-empty (None when the columns do not stretch that far)."""
+    owner = rng.integers(0, parts + 1, size=n_cols)  # ``parts`` = unused
+    if empty_first:
+        owner[owner == 0] = parts
+    masks = [0] * parts
+    for j, o in enumerate(owner):
+        if o < parts:
+            masks[o] |= 1 << j
+    if not all(masks[1:]):
+        return None
+    return masks
+
+
+def _decisions(rng, n_cols, count):
+    """Random ``mis_exceed`` batches and ``j_le`` calls, with repeats."""
+    pool = []
+    while len(pool) < count:
+        empty = rng.random() < 0.3  # empty X / empty key
+        eps = float(rng.choice([0.0, 0.01, 0.1, 0.5]))
+        if rng.random() < 0.5:
+            triples = []
+            for _ in range(int(rng.integers(1, 4))):
+                masks = _split(rng, n_cols, 3, empty)
+                if masks is not None:
+                    xm, ym, zm = masks
+                    triples.append((ym, zm, xm))
+            if triples:
+                pool.append(("mi", triples, eps))
+        else:
+            masks = _split(rng, n_cols, int(rng.integers(3, 5)), empty)
+            if masks is not None:
+                pool.append(("j", (masks[0], masks[1:]), eps))
+    picks = rng.integers(0, len(pool), size=count + count // 2)
+    return [pool[i] for i in picks]
+
+
+def _bits(m):
+    return {j for j in range(m.bit_length()) if m >> j & 1}
+
+
+@st.composite
+def approx_setups(draw):
+    """A relation of <= 7 attributes with duplicate rows, a sample size
+    (down to one row) and the interval knobs."""
+    n_cols = draw(st.integers(2, 7))
+    shape = draw(st.sampled_from(["sampled", "tiny", "one-row"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    bound = draw(st.sampled_from(["clt", "mcdiarmid"]))
+    confidence = draw(st.sampled_from([0.95, 0.9, 0.5]))
+    rng = np.random.default_rng(seed)
+    n_rows = int(rng.integers(2, 13) if shape == "tiny" else rng.integers(40, 401))
+    if shape == "one-row":
+        sample_rows = 1
+    else:
+        sample_rows = int(rng.integers(max(1, n_rows // 4), n_rows))
+    distinct = int(rng.integers(1, 13))
+    domains = rng.integers(1, 5, size=n_cols)
+    base = rng.integers(0, domains, size=(distinct, n_cols))
+    codes = base[rng.integers(0, distinct, size=n_rows)]
+    relation = Relation.from_codes(codes)
+    return relation, sample_rows, seed, bound, confidence
+
+
+class TestGroupwiseInterval:
+    """``_interval_full`` against the row-wise reference, then whole runs
+    of decisions on a row-wise engine.  Small samples of few distinct
+    rows cover unequal group weights, saturated and unsaturated terms,
+    empty X / key masks and the 1-row sample."""
+
+    @given(approx_setups())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_rowwise_reference(self, setup):
+        relation, k, seed, bound, confidence = setup
+        clear_sample_cache()
+        eng = ApproxEntropyEngine(relation, sample_rows=k, confidence=confidence,
+                                  sample_seed=seed % 7, bound=bound)
+        rng = np.random.default_rng(seed)
+        for kind, args, _ in _decisions(rng, relation.n_cols, 8):
+            if kind == "mi":
+                all_terms = [_mi_terms(*t) for t in args]
+            else:
+                all_terms = [_j_terms(*args)]
+            for terms in all_terms:
+                got = eng._interval_full(terms)
+                want = rowwise_interval(eng.sample, terms, eng._delta, bound)
+                assert got[2] == want[2], (terms, got, want)
+                assert got[0] == pytest.approx(want[0], rel=0, abs=1e-9), terms
+                assert got[1] == pytest.approx(want[1], rel=0, abs=1e-9), terms
+
+    @given(approx_setups())
+    @settings(max_examples=60, deadline=None)
+    def test_decision_runs_match_rowwise_engine(self, setup):
+        relation, k, seed, bound, confidence = setup
+        clear_sample_cache()
+        knobs = dict(sample_rows=k, confidence=confidence,
+                     sample_seed=seed % 7, bound=bound)
+        eng = ApproxEntropyEngine(relation, **knobs)
+        ref = RowwiseApproxEngine(relation, **knobs)
+        rng = np.random.default_rng(seed)
+        for kind, args, eps in _decisions(rng, relation.n_cols, 10):
+            threshold = eps + TOL
+            if kind == "mi":
+                all_terms = [_mi_terms(*t) for t in args]
+            else:
+                all_terms = [_j_terms(*args)]
+            for terms in all_terms:
+                lo, hi, _ = rowwise_interval(eng.sample, terms, eng._delta, bound)
+                if min(abs(max(0.0, lo) - threshold), abs(hi - threshold)) < 1e-9:
+                    return  # a float-rounding tie may decide either way
+            if kind == "mi":
+                triples = [(_bits(y), _bits(z), _bits(x)) for y, z, x in args]
+                got = eng.mis_exceed(triples, eps)
+                want = ref.mis_exceed(triples, eps)
+            else:
+                got = eng.j_le(args[0], args[1], eps)
+                want = ref.j_le(args[0], args[1], eps)
+            assert got == want, (kind, args, eps)
+            assert (eng.queries, eng.evals, eng.escalations) == (
+                ref.queries, ref.evals, ref.escalations)
 
 
 # --------------------------------------------------------------------- #

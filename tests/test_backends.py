@@ -424,7 +424,9 @@ class TestStreamingFingerprint:
     def test_chunk_size_invariant(self, rel, monkeypatch):
         want = persist.relation_fingerprint(rel)
         monkeypatch.setattr(persist, "FINGERPRINT_CHUNK_ROWS", 17)
-        assert persist.relation_fingerprint(rel) == want
+        # A fresh relation: ``rel`` keeps its hash state.
+        fresh = rel.take_rows(np.arange(rel.n_rows))
+        assert persist.relation_fingerprint(fresh) == want
 
     def test_large_file_tripwire(self, monkeypatch):
         """Fingerprinting must stream: no chunk may exceed the row bound.

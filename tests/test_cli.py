@@ -56,6 +56,23 @@ class TestCommands:
         assert data["eps"] == 0.0
         assert data["mvds"]
 
+    def test_approx_bench_keeps_kernels_block(self, tmp_path):
+        """approx-bench rewrites its own runs and keeps the kernels block
+        kernel-bench merged into the shared file."""
+        path = tmp_path / "scale.json"
+        kernels = {"bench": "kernels", "runs": [{"rows": 1}]}
+        path.write_text(json.dumps({"bench": "approx_scale", "runs": [],
+                                    "kernels": kernels}))
+        argv = ["approx-bench", "--rows", "2000", "--sample-rows", "400",
+                "--json", str(path)]
+        assert main(argv) == 0
+        data = json.loads(path.read_text())
+        assert data["kernels"] == kernels
+        assert [r["rows"] for r in data["runs"]] == [2000]
+        fresh = tmp_path / "fresh.json"
+        assert main(argv[:-1] + [str(fresh)]) == 0
+        assert "kernels" not in json.loads(fresh.read_text())
+
     def test_mine_missing_input(self):
         with pytest.raises(SystemExit):
             main(["mine"])

@@ -3,16 +3,23 @@
 import itertools
 import json
 import os
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common import TOL
 from repro.core.minsep import mine_all_min_seps
+from repro.data.relation import Relation
 from repro.entropy.oracle import EntropyOracle, make_oracle
 from repro.entropy.plicache import PLICacheEngine
 from repro.exec.batch import BatchEntropyOracle
-from repro.exec.persist import PersistentEntropyCache, relation_fingerprint
+from repro.exec import persist
+from repro.exec.persist import (
+    PersistentEntropyCache,
+    fingerprint_stream,
+    relation_fingerprint,
+)
 from repro.exec.plan import mi_entropy_sets, plan_entropy_requests
 from repro.reference import entropy_by_counting
 from tests.conftest import random_relation
@@ -140,6 +147,49 @@ class TestPersist:
         assert relation_fingerprint(r1) == relation_fingerprint(r1)
         assert relation_fingerprint(r1) != relation_fingerprint(r2)
         assert relation_fingerprint(r1) != relation_fingerprint(r1, params=("pli", 2))
+
+    def test_fingerprint_hashes_codes_once(self, monkeypatch):
+        """A relation keeps its column-hash state: repeated calls, with
+        and without params, hash its codes once and give the digests of
+        a fresh relation over the same codes."""
+        calls = []
+        hash_columns = persist._hash_columns
+
+        def counting(*args):
+            calls.append(args[0])
+            return hash_columns(*args)
+
+        monkeypatch.setattr(persist, "_hash_columns", counting)
+        r = random_relation(3, 40, seed=8)
+        plain = relation_fingerprint(r)
+        with_params = relation_fingerprint(r, params=("pli", 2))
+        assert relation_fingerprint(r) == plain
+        assert relation_fingerprint(r, params=("pli", 2)) == with_params
+        assert plain != with_params
+        assert len(calls) == 1
+        fresh = Relation(r.codes.copy(), r.columns, r.domains)
+        assert relation_fingerprint(fresh, params=("pli", 2)) == with_params
+        assert relation_fingerprint(fresh) == plain
+        assert len(calls) == 2
+
+    def test_derived_relations_fingerprint_their_own_codes(self):
+        r = random_relation(3, 40, seed=8)
+        relation_fingerprint(r)  # the source keeps its hash state
+
+        def streamed(rel, params=()):
+            chunks = ([rel.codes[:, j]] for j in range(rel.n_cols))
+            return fingerprint_stream(
+                rel.n_rows, rel.n_cols, rel.columns, chunks, params)
+
+        copy = pickle.loads(pickle.dumps(r))
+        derived = [r.take_rows([3, 1, 1, 7]), r.head(5),
+                   r.sample_rows(10, seed=2), copy]
+        for d in derived:
+            assert relation_fingerprint(d) == streamed(d)
+            assert relation_fingerprint(d, params=("x",)) == streamed(d, ("x",))
+        assert relation_fingerprint(copy) == relation_fingerprint(r)
+        assert relation_fingerprint(r) not in {
+            relation_fingerprint(d) for d in derived[:3]}
 
     def test_cache_round_trip(self, tmp_path):
         r = random_relation(3, 40, seed=8)
