@@ -12,8 +12,10 @@ operation, end to end:
 * :mod:`~repro.delta.tracker` — :class:`DeltaTracker` maintains an
   :class:`~repro.entropy.partitions.EvolvingPartition` per memoised
   attribute set, so an append *patches* every cached entropy instead of
-  invalidating it (with an exact-agreement fallback when a column's
-  cardinality jumps past the dense-radix bound);
+  invalidating it: one batched pass over the appended block for all
+  tracked sets, a fixed number of NumPy calls plus one ``np.dot`` per
+  set (with an exact-agreement fallback when a column's cardinality
+  jumps past the dense-radix bound);
 * :mod:`~repro.delta.diffing` — result diffing (`diff_payloads` and
   friends): what the new rows added, dropped and score-shifted among the
   mined MVDs / minimal separators / schemas, shared by the serving

@@ -6,16 +6,20 @@ moves with ``N``), so plain invalidation would throw the whole warm
 session away.  The :class:`DeltaTracker` keeps, for every attribute set
 the oracle has evaluated, the
 :class:`~repro.entropy.partitions.EvolvingPartition` group state that
-makes the new entropy an ``O(k)``-ish *patch* instead of an ``O(N)``
-recomputation.
+makes the new entropy a *patch* instead of an ``O(N)`` recomputation.
 
-Cost model per append of ``k`` rows over ``M`` tracked sets:
+Cost model per append of ``k`` rows over ``L`` tracked sets holding
+``G`` groups in all:
 
-* no cardinality jump — ``O(M * (k log G + G))`` vectorised work, with
-  the ``N`` retained rows untouched;
+* no cardinality jump — one batched pass
+  (:class:`~repro.entropy.partitions.EvolvingBatch`): a fixed number of
+  NumPy calls over the ``k * L`` new keys and the ``G`` retained groups,
+  plus one ``np.dot`` and a few slice assignments per set; the ``N``
+  retained rows are untouched, and ``combine_codes`` runs only when a
+  set is first tracked or rebuilt;
 * a column's dictionary grew — only the sets *containing that column*
   fall back to a full regroup (the exact-agreement fallback), everything
-  else still patches;
+  else still patches in the same pass;
 * a set whose key space exceeds the dense-radix bound is never tracked;
   its memo entry is dropped on advance and recomputed on demand.
 
@@ -27,10 +31,10 @@ concatenated dataset.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.data.relation import Relation
-from repro.entropy.partitions import EvolvingPartition, StrippedPartition
+from repro.entropy.partitions import EvolvingBatch, EvolvingPartition, StrippedPartition
 from repro.lattice import bits_of
 
 
@@ -53,6 +57,9 @@ class DeltaTracker:
         self.relation = relation
         #: mask -> EvolvingPartition, or None for untrackable sets.
         self._parts: Dict[int, Optional[EvolvingPartition]] = {}
+        #: The trackable masks and their stacked batch; reset whenever a
+        #: set is first tracked or regrouped.
+        self._batch: Optional[Tuple[List[int], EvolvingBatch]] = None
         self.patched = 0
         self.rebuilt = 0
         self.dropped = 0
@@ -77,6 +84,7 @@ class DeltaTracker:
         self._parts[mask] = part
         if part is None:
             return self._fallback_entropy(mask)
+        self._batch = None
         return part.entropy()
 
     def _fallback_entropy(self, mask: int) -> float:
@@ -95,22 +103,28 @@ class DeltaTracker:
                 f"relation has {self.relation.n_rows} rows"
             )
         block = new_relation.codes[delta.start_row:]
-        patched: Dict[int, float] = {}
-        stats = {"patched": 0, "rebuilt": 0, "dropped": 0}
-        for mask, part in list(self._parts.items()):
-            if part is None:
+        if self._batch is None:
+            masks = [m for m, part in self._parts.items() if part is not None]
+            self._batch = (masks, EvolvingBatch([self._parts[m] for m in masks]))
+        masks, batch = self._batch
+        entropies, jumped = batch.append_block(block)
+        patched = dict(zip(masks, entropies))
+        stats = {
+            "patched": len(masks) - len(jumped),
+            "rebuilt": len(jumped),
+            "dropped": len(self._parts) - len(masks),
+        }
+        for pos in jumped:
+            mask = masks[pos]
+            part = EvolvingPartition.build(new_relation, bits_of(mask))
+            self._parts[mask] = part
+            if part is None:  # the grown radix put the set past the bound
                 stats["dropped"] += 1
+                del patched[mask]
                 continue
-            if part.append_block(block):
-                stats["patched"] += 1
-            else:
-                part = EvolvingPartition.build(new_relation, bits_of(mask))
-                self._parts[mask] = part
-                stats["rebuilt"] += 1
-                if part is None:  # pragma: no cover - radix can't overflow here
-                    stats["dropped"] += 1
-                    continue
             patched[mask] = part.entropy()
+        if jumped:
+            self._batch = None
         self.relation = new_relation
         self.patched += stats["patched"]
         self.rebuilt += stats["rebuilt"]

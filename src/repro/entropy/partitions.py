@@ -33,11 +33,18 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.relation import Relation
-from repro.kernels import grouping_order, key_counts
+from repro.kernels import entropy_from_counts, grouping_order, key_counts
 
 #: Largest mixed-radix key product :class:`EvolvingPartition` will track;
 #: the same int64-overflow bound :meth:`Relation.group_ids` re-densifies at.
 DENSE_RADIX_BOUND = 2**62
+INT64_MAX = int(np.iinfo(np.int64).max)
+#: The ``bounds`` entry of a column outside a set: no code reaches it.
+NO_BOUND = INT64_MAX
+#: New keys :class:`EvolvingBatch` holds at once (``rows x sets``); a
+#: larger append is merged in row chunks, keeping its working set near
+#: that of one set's per-set append.
+APPEND_KEYS = 1 << 20
 
 
 class StrippedPartition:
@@ -93,9 +100,17 @@ class StrippedPartition:
 
     @classmethod
     def from_relation(cls, relation: Relation, attrs: Iterable[int]) -> "StrippedPartition":
-        """Partition of ``relation`` induced by the attribute set ``attrs``."""
-        ids, n_groups = relation.group_ids(attrs)
-        return cls.from_group_ids(ids, n_groups, relation.n_rows)
+        """Partition of ``relation`` induced by the attribute set ``attrs``.
+
+        ``H(∅)`` is exactly 0, as :meth:`GroupCounter.entropy` returns it;
+        Eq. (5) over the one all-rows cluster would leave float residue.
+        """
+        idx = relation.col_indices(attrs)
+        ids, n_groups = relation.group_ids(idx)
+        part = cls.from_group_ids(ids, n_groups, relation.n_rows)
+        if not idx:
+            part._entropy = 0.0
+        return part
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -138,14 +153,7 @@ class StrippedPartition:
         non-singleton clusters only (singletons contribute 0).
         """
         if self._entropy is None:
-            n = self.n_rows
-            if n == 0:
-                self._entropy = 0.0
-            else:
-                sizes = self.cluster_sizes().astype(np.float64)
-                s = float(np.dot(sizes, np.log2(sizes))) if len(sizes) else 0.0
-                # Clamp tiny negative float residue (H is mathematically >= 0).
-                self._entropy = max(0.0, math.log2(n) - s / n)
+            self._entropy = entropy_from_counts(self.cluster_sizes(), self.n_rows)
         return self._entropy
 
     def __repr__(self) -> str:
@@ -194,17 +202,22 @@ class EvolvingPartition:
     against them needs a full regroup.  This class keeps exactly the extra
     state that makes appends cheap — the sorted array of distinct
     mixed-radix group keys plus their multiplicities — and maintains the
-    entropy of Eq. (5) from the counts.
+    entropy of Eq. (5) from the counts.  Appends go through
+    :class:`EvolvingBatch`, which patches every tracked set of a relation
+    in one pass; the ``N`` retained rows are never touched.
 
-    Appending ``k`` rows costs ``O(k log G + G)`` numpy work (``G`` =
-    number of groups): one key combination, one ``searchsorted`` probe,
-    and a sorted merge for unseen keys.  The ``N`` retained rows are never
-    touched.  Two situations force a full rebuild (the *exact-agreement
-    fallback*): a column's cardinality jumping past the dense-radix bound
-    captured at build time (a new dictionary code would collide in or
-    overflow the key space), handled by :meth:`append_block` returning
-    ``False``; and a key-space product beyond ``DENSE_RADIX_BOUND``, in
+    Two situations force a full rebuild (the *exact-agreement fallback*):
+    a column's cardinality jumping past the radix bound captured at build
+    time (a new dictionary code would collide in or overflow the key
+    space), which :meth:`EvolvingBatch.append_block` reports instead of
+    patching; and a key-space product beyond ``DENSE_RADIX_BOUND``, in
     which case :meth:`build` refuses to track the set at all.
+
+    ``weights`` and ``bounds`` are the set's rows of the batched pass, one
+    entry per relation column: the mixed-radix weight of each member
+    column (0 elsewhere), so ``codes @ weights`` is :func:`combine_codes`;
+    and the captured radix of each member column (``NO_BOUND`` elsewhere),
+    the cardinality-jump test.
 
     Float determinism: counts are kept in ascending key order, which is
     the same order :meth:`Relation.group_ids` yields dense group ids in,
@@ -213,18 +226,22 @@ class EvolvingPartition:
     just within tolerance but bit-identical.
     """
 
-    __slots__ = ("idx", "radix", "keys", "counts", "n_rows", "_entropy")
+    __slots__ = ("idx", "radix", "weights", "bounds", "keys", "counts", "n_rows", "_entropy")
 
     def __init__(
         self,
         idx: Tuple[int, ...],
         radix: Tuple[int, ...],
+        weights: np.ndarray,
+        bounds: np.ndarray,
         keys: np.ndarray,
         counts: np.ndarray,
         n_rows: int,
     ):
         self.idx = idx
         self.radix = radix
+        self.weights = weights
+        self.bounds = bounds
         self.keys = keys
         self.counts = counts
         self.n_rows = int(n_rows)
@@ -242,60 +259,26 @@ class EvolvingPartition:
         """
         idx = tuple(relation.col_indices(attrs))
         radix = tuple(max(relation.radix[j], 1) for j in idx)
+        weights = np.zeros(relation.n_cols, dtype=np.int64)
+        bounds = np.full(relation.n_cols, NO_BOUND, dtype=np.int64)
         product = 1
-        for r in radix:
+        for j, r in zip(reversed(idx), reversed(radix)):
             if product > DENSE_RADIX_BOUND // r:
                 return None
+            weights[j] = product
+            bounds[j] = r
             product *= r
         n = relation.n_rows
         if not idx or n == 0:
             keys = np.zeros(min(1, n), dtype=np.int64)
             counts = np.full(min(1, n), n, dtype=np.int64)
-            return cls(idx, radix, keys, counts, n)
+            return cls(idx, radix, weights, bounds, keys, counts, n)
         all_keys = combine_codes(relation.codes, idx, radix)
         # Kernel-dispatched counting (bincount when the radix product is
         # small, sort otherwise) — the key *values* stay raw mixed-radix,
         # which append stability depends on; only the counting is routed.
         keys, counts = key_counts(all_keys, product, n)
-        return cls(idx, radix, keys, counts, n)
-
-    def append_block(self, codes_block: np.ndarray) -> bool:
-        """Absorb appended rows (full-width code block); False on fallback.
-
-        Returns ``False`` — leaving the partition untouched — when the
-        block carries a code at or past the radix bound captured at build
-        time (a cardinality jump).  The caller must then rebuild from the
-        full relation, which re-captures the grown radix.
-        """
-        k = codes_block.shape[0]
-        if k == 0:
-            return True
-        if not self.idx:
-            if len(self.counts):
-                self.counts = self.counts + k
-            else:
-                self.keys = np.zeros(1, dtype=np.int64)
-                self.counts = np.array([k], dtype=np.int64)
-            self.n_rows += k
-            self._entropy = None
-            return True
-        for pos, j in enumerate(self.idx):
-            if int(codes_block[:, j].max()) >= self.radix[pos]:
-                return False
-        new_keys = combine_codes(codes_block, self.idx, self.radix)
-        uniq, add = np.unique(new_keys, return_counts=True)
-        pos = np.searchsorted(self.keys, uniq)
-        in_range = pos < len(self.keys)
-        found = np.zeros(len(uniq), dtype=bool)
-        found[in_range] = self.keys[pos[in_range]] == uniq[in_range]
-        self.counts[pos[found]] += add[found]
-        if not found.all():
-            missing = ~found
-            self.keys = np.insert(self.keys, pos[missing], uniq[missing])
-            self.counts = np.insert(self.counts, pos[missing], add[missing])
-        self.n_rows += k
-        self._entropy = None
-        return True
+        return cls(idx, radix, weights, bounds, keys, counts, n)
 
     @property
     def n_groups(self) -> int:
@@ -304,18 +287,12 @@ class EvolvingPartition:
     def entropy(self) -> float:
         """Empirical entropy in bits (Eq. 5), recomputed from the counts.
 
-        Same formula, filter, summation order and clamp as
-        :meth:`StrippedPartition.entropy`, so values agree bit-for-bit
-        with the engines' from-scratch computation.
+        :func:`~repro.kernels.entropy_from_counts`, so values agree
+        bit-for-bit with the engines' from-scratch computation; ``H(∅)``
+        is exactly 0, as the engines return it.
         """
         if self._entropy is None:
-            n = self.n_rows
-            if n == 0:
-                self._entropy = 0.0
-            else:
-                sizes = self.counts[self.counts >= 2].astype(np.float64)
-                s = float(np.dot(sizes, np.log2(sizes))) if len(sizes) else 0.0
-                self._entropy = max(0.0, math.log2(n) - s / n)
+            self._entropy = entropy_from_counts(self.counts, self.n_rows) if self.idx else 0.0
         return self._entropy
 
     def __repr__(self) -> str:
@@ -323,3 +300,158 @@ class EvolvingPartition:
             f"<EvolvingPartition attrs={list(self.idx)} groups={self.n_groups} "
             f"N={self.n_rows} H={self.entropy():.4f}>"
         )
+
+
+class EvolvingBatch:
+    """Every tracked :class:`EvolvingPartition` of a relation, patched together.
+
+    Stacks the sets' ``weights`` and ``bounds`` rows once, so an append
+    of ``k`` rows to ``L`` sets costs a fixed number of NumPy calls over
+    ``k * L`` new keys and the ``G`` retained groups, plus one ``np.dot``
+    per set — not a dozen small calls per set.
+    """
+
+    __slots__ = ("parts", "weights", "bounds", "shifts", "cuts")
+
+    def __init__(self, parts: Sequence[EvolvingPartition]):
+        self.parts = list(parts)
+        self.weights = np.array([p.weights for p in self.parts], dtype=np.int64)
+        self.bounds = np.array([p.bounds for p in self.parts], dtype=np.int64)
+        # Shifting each set's keys by the radix products of the sets before
+        # it makes the concatenated keys one increasing array, searched in
+        # one call.  A run of sets ends before its shifted keys would pass
+        # int64; the paper's small domains keep every batch one run.
+        shifts: List[int] = []
+        self.cuts = [0]
+        total = 0
+        for pos, part in enumerate(self.parts):
+            product = math.prod(part.radix)
+            if total > INT64_MAX - product:
+                self.cuts.append(pos)
+                total = 0
+            shifts.append(total)
+            total += product
+        self.cuts.append(len(self.parts))
+        self.shifts = np.array(shifts, dtype=np.int64)
+
+    def append_block(self, block: np.ndarray) -> Tuple[List[Optional[float]], List[int]]:
+        """Absorb appended rows (full-width code block) into every set.
+
+        Returns ``(entropies, jumped)``: each set's new entropy, in
+        ``parts`` order, and the positions of the sets left untouched
+        (entropy ``None``) because the block carries a code at or past
+        their captured radix — the caller rebuilds those from the full
+        relation.  Every other set's ``keys`` and ``counts`` become
+        slices of the merged arrays.
+
+        The pass, for ``L`` sets and ``k`` rows: one column ``max`` tests
+        every set's radix; ``weights @ block.T`` gives every set's keys
+        (the values of :func:`combine_codes`, below each set's radix
+        product, so below 2^62); one row-wise sort and a run mask give
+        each set's distinct new keys and multiplicities; one search over
+        the shifted, concatenated old keys matches them; counts are added
+        in place and unseen keys inserted with one ``np.insert``.  A block
+        of more than ``APPEND_KEYS // L`` rows repeats these steps per row
+        chunk.
+
+        Entropies take one ``np.log2`` over every count ``>= 2`` and then
+        one ``np.dot`` per set on its slice, rather than
+        :func:`~repro.kernels.entropy_from_counts` per set: that would
+        repeat the filter, cast and log as three more calls per set.  The
+        values, summation order and clamp are the same, so the result is
+        bit-identical; ``tests/test_delta.py::TestBatchedAppend`` pins it
+        against the per-set path in :func:`repro.reference.append_block`.
+        """
+        parts = self.parts
+        k = block.shape[0]
+        if k == 0 or not parts:
+            return [p.entropy() for p in parts], []
+        jumped_rows = (self.bounds <= block.max(axis=0)).any(axis=1)
+        keys = np.concatenate([p.keys for p in parts])
+        counts = np.concatenate([p.counts for p in parts])
+        lengths = np.array([len(p.keys) for p in parts], dtype=np.int64)
+        step = max(1, APPEND_KEYS // len(parts))
+        for start in range(0, k, step):
+            keys, counts, lengths = self._merge(
+                block[start:start + step], keys, counts, lengths, jumped_rows
+            )
+        offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+
+        big = np.flatnonzero(counts >= 2)
+        sizes = counts[big].astype(np.float64)
+        logs = np.log2(sizes)
+        size_offsets = np.searchsorted(big, offsets).tolist()
+        offsets = offsets.tolist()
+        entropies: List[Optional[float]] = []
+        rows = zip(parts, (~jumped_rows).tolist(), offsets, offsets[1:],
+                   size_offsets, size_offsets[1:])
+        for part, live, lo, hi, size_lo, size_hi in rows:
+            if not live:
+                entropies.append(None)
+                continue
+            part.keys = keys[lo:hi]
+            part.counts = counts[lo:hi]
+            part.n_rows += k
+            n = part.n_rows
+            h = 0.0
+            if part.idx:
+                s = 0.0
+                if size_hi > size_lo:
+                    s = float(np.dot(sizes[size_lo:size_hi], logs[size_lo:size_hi]))
+                h = max(0.0, math.log2(n) - s / n)
+            part._entropy = h
+            entropies.append(h)
+        return entropies, np.flatnonzero(jumped_rows).tolist()
+
+    def _merge(
+        self,
+        rows: np.ndarray,
+        keys: np.ndarray,
+        counts: np.ndarray,
+        lengths: np.ndarray,
+        jumped_rows: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Merge ``rows``' keys into the concatenated ``keys``/``counts``.
+
+        Sets flagged in ``jumped_rows`` are left as they are.  Returns
+        the merged keys, counts and per-set lengths; ``counts`` may be
+        updated in place.
+        """
+        k = rows.shape[0]
+        new = self.weights @ rows.T.astype(np.int64, copy=False)
+        new.sort(axis=1)
+        first = np.empty(new.shape, dtype=bool)
+        first[:, 0] = True
+        np.not_equal(new[:, 1:], new[:, :-1], out=first[:, 1:])
+        starts = np.flatnonzero(first)
+        uniq = new.ravel()[starts]
+        add = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=add[:-1])
+        add[-1] = new.size - starts[-1]
+        set_of = starts // k
+        live = ~jumped_rows[set_of]
+        if not live.all():
+            uniq, add, set_of = uniq[live], add[live], set_of[live]
+
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        shifted = keys + np.repeat(self.shifts, lengths)
+        probes = uniq + self.shifts[set_of]
+        pos = np.empty(len(uniq), dtype=np.int64)
+        old_cuts = offsets[self.cuts].tolist()
+        probe_cuts = np.searchsorted(set_of, self.cuts).tolist()
+        for c in range(len(self.cuts) - 1):
+            o0, o1 = old_cuts[c], old_cuts[c + 1]
+            q0, q1 = probe_cuts[c], probe_cuts[c + 1]
+            pos[q0:q1] = o0 + np.searchsorted(shifted[o0:o1], probes[q0:q1])
+        in_set = pos < offsets[1:][set_of]
+        found = np.zeros(len(uniq), dtype=bool)
+        found[in_set] = keys[pos[in_set]] == uniq[in_set]
+        counts[pos[found]] += add[found]
+        if found.all():
+            return keys, counts, lengths
+        missing = ~found
+        keys = np.insert(keys, pos[missing], uniq[missing])
+        counts = np.insert(counts, pos[missing], add[missing])
+        return keys, counts, lengths + np.bincount(set_of[missing], minlength=len(lengths))

@@ -13,9 +13,8 @@ code columns, see :mod:`repro.kernels.compose`):
   ``0..n_groups-1`` follow the lexicographic (ascending key) order, the
   :meth:`repro.data.relation.Relation.group_ids` contract.
 * :func:`entropy_from_counts` — the Eq. (5) plug-in entropy of a count
-  vector, with the exact filter/summation/clamp sequence shared by
-  :class:`~repro.entropy.partitions.StrippedPartition` and
-  :class:`~repro.entropy.partitions.EvolvingPartition`.
+  vector, which :class:`~repro.entropy.partitions.StrippedPartition` and
+  :class:`~repro.entropy.partitions.EvolvingPartition` call too.
 
 Two kernels with one contract:
 
@@ -274,11 +273,12 @@ def entropy_from_counts(counts: np.ndarray, n_rows: int) -> float:
     """Plug-in entropy in bits of a group-count vector (Eq. 5).
 
     ``H = log2 N - (1/N) * sum_c c * log2 c`` over counts ``>= 2``
-    (singletons contribute 0).  The filter, ``np.dot`` summation order
-    (counts must arrive in ascending key order) and the non-negativity
-    clamp replicate :meth:`StrippedPartition.entropy` exactly, so every
-    caller — kernels, partitions — produces bit-identical floats for the
-    same grouping.
+    (singletons contribute 0), clamped at 0.  Counts must arrive in
+    ascending key order: the ``np.dot`` summation order is part of the
+    contract, so every caller — kernels, partitions — produces
+    bit-identical floats for the same grouping.  The delta tracker's
+    batched patch (:meth:`~repro.entropy.partitions.EvolvingBatch.append_block`)
+    applies the same steps to slices of one array.
     """
     if n_rows == 0:
         return 0.0

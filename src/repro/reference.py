@@ -16,6 +16,8 @@ else) uses these as ground truth on small inputs:
 * the approx engine's decision interval from sample-length information
   vectors, one float per sample row and term (vs the count-weighted sums
   over the top term's groups in :mod:`repro.approx.engine`);
+* the delta tracker's append, one :class:`EvolvingPartition` at a time
+  (vs the one batched pass of :class:`EvolvingBatch`);
 * the materialised join of a decomposition (vs the Yannakakis count).
 
 These are exponential; keep inputs to roughly n <= 7 attributes.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -35,6 +37,8 @@ from repro.core.budget import SearchBudget, ensure_budget
 from repro.core.measures import satisfies
 from repro.core.mvd import MVD
 from repro.data.relation import Relation
+from repro.entropy.partitions import EvolvingPartition, combine_codes
+from repro.lattice import bits_of
 
 
 # --------------------------------------------------------------------- #
@@ -373,6 +377,79 @@ def rowwise_interval(
         float(combo.mean()), float(combo.var()), n, mm, delta, method, spread=spread
     )
     return lo, hi, saturated
+
+
+# --------------------------------------------------------------------- #
+# Delta maintenance, one set at a time
+# --------------------------------------------------------------------- #
+
+def append_block(part: EvolvingPartition, codes_block: np.ndarray) -> bool:
+    """Absorb appended rows (full-width code block) into one set.
+
+    Returns ``False``, leaving ``part`` untouched, when the block carries
+    a code at or past the radix captured at build time; the caller then
+    rebuilds from the full relation.  Same contract, per set, as
+    :meth:`EvolvingBatch.append_block`, which must leave the same keys,
+    counts, row count and entropy.
+    """
+    k = codes_block.shape[0]
+    if k == 0:
+        return True
+    if not part.idx:
+        if len(part.counts):
+            part.counts = part.counts + k
+        else:
+            part.keys = np.zeros(1, dtype=np.int64)
+            part.counts = np.array([k], dtype=np.int64)
+        part.n_rows += k
+        part._entropy = None
+        return True
+    for pos, j in enumerate(part.idx):
+        if int(codes_block[:, j].max()) >= part.radix[pos]:
+            return False
+    new_keys = combine_codes(codes_block, part.idx, part.radix)
+    uniq, add = np.unique(new_keys, return_counts=True)
+    pos = np.searchsorted(part.keys, uniq)
+    in_range = pos < len(part.keys)
+    found = np.zeros(len(uniq), dtype=bool)
+    found[in_range] = part.keys[pos[in_range]] == uniq[in_range]
+    part.counts[pos[found]] += add[found]
+    if not found.all():
+        missing = ~found
+        part.keys = np.insert(part.keys, pos[missing], uniq[missing])
+        part.counts = np.insert(part.counts, pos[missing], add[missing])
+    part.n_rows += k
+    part._entropy = None
+    return True
+
+
+def advance_per_set(
+    parts: Dict[int, Optional[EvolvingPartition]],
+    new_relation: Relation,
+    block: np.ndarray,
+) -> Tuple[Dict[int, float], Dict[str, int]]:
+    """``DeltaTracker.advance`` on ``parts`` (mask -> set, ``None`` if
+    untrackable), one :func:`append_block` per set; updates ``parts``.
+
+    Returns the same ``(patched entropies, stats)`` as the tracker.
+    """
+    patched: Dict[int, float] = {}
+    stats = {"patched": 0, "rebuilt": 0, "dropped": 0}
+    for mask, part in list(parts.items()):
+        if part is None:
+            stats["dropped"] += 1
+            continue
+        if append_block(part, block):
+            stats["patched"] += 1
+        else:
+            part = EvolvingPartition.build(new_relation, bits_of(mask))
+            parts[mask] = part
+            stats["rebuilt"] += 1
+            if part is None:
+                stats["dropped"] += 1
+                continue
+        patched[mask] = part.entropy()
+    return patched, stats
 
 
 # --------------------------------------------------------------------- #

@@ -11,6 +11,8 @@ must do strictly fewer engine evaluations than cold ones.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +20,9 @@ from hypothesis import example, given, settings, strategies as st
 from repro.api.specs import EngineSpec
 from repro.core.maimon import Maimon
 from repro.data.relation import Relation
+from repro import reference
 from repro.delta import (
+    Delta,
     DeltaTracker,
     RelationBuilder,
     append_rows,
@@ -28,8 +32,9 @@ from repro.delta import (
     diff_schemas_payloads,
     summarize_diff,
 )
+from repro.entropy import partitions
 from repro.entropy.oracle import EntropyOracle
-from repro.entropy.partitions import EvolvingPartition, StrippedPartition
+from repro.entropy.partitions import EvolvingBatch, EvolvingPartition, StrippedPartition
 from repro.exec.batch import BatchEntropyOracle
 from repro.exec.persist import relation_fingerprint
 from repro import io as repro_io
@@ -137,6 +142,12 @@ class TestAppendRows:
 # EvolvingPartition: incremental stripped-partition maintenance
 # --------------------------------------------------------------------- #
 
+def batch_append(part, block):
+    """Append ``block`` to one set through the batched pass; False on a jump."""
+    _, jumped = EvolvingBatch([part]).append_block(block)
+    return not jumped
+
+
 class TestEvolvingPartition:
     @settings(max_examples=60, deadline=None)
     @given(row_batches(alphabet=("a", "b", "c")), st.data())
@@ -154,7 +165,7 @@ class TestEvolvingPartition:
         )
         part = EvolvingPartition.build(base, attrs)
         assert part is not None
-        if part.append_block(whole.codes[len(base_rows):]):
+        if batch_append(part, whole.codes[len(base_rows):]):
             expected = StrippedPartition.from_relation(whole, attrs)
             assert part.entropy() == expected.entropy()  # exact, not approx
             assert part.n_rows == whole.n_rows
@@ -168,7 +179,7 @@ class TestEvolvingPartition:
         base = Relation.from_rows([("x",), ("y",)], ["A"])
         appended, _ = append_rows(base, [("brand-new",)])
         part = EvolvingPartition.build(base, (0,))
-        assert part.append_block(appended.codes[2:]) is False
+        assert batch_append(part, appended.codes[2:]) is False
         # The partition must be left untouched by the refused append.
         assert part.n_rows == 2
 
@@ -183,9 +194,129 @@ class TestEvolvingPartition:
         base = Relation.from_rows([("x",), ("y",)], ["A"])
         part = EvolvingPartition.build(base, ())
         assert part.entropy() == 0.0
-        assert part.append_block(np.array([[0]], dtype=np.int64))
+        assert batch_append(part, np.array([[0]], dtype=np.int64))
         assert part.n_rows == 3
         assert part.entropy() == 0.0
+
+    def test_empty_set_entropy_is_exactly_zero(self):
+        """H(∅) is 0.0 as the engines give it, not log2 n - n log2 n / n."""
+        for n in range(1, 401):
+            rel = Relation.from_codes(np.zeros((n, 1), dtype=np.int64), ["A"])
+            expected = EntropyOracle(rel).entropy_mask(0)
+            assert DeltaTracker(rel).entropy_of_mask(0) == expected == 0.0
+            assert StrippedPartition.from_relation(rel, ()).entropy() == expected
+            assert reference.advance_per_set(
+                {0: EvolvingPartition.build(rel, ())}, rel, rel.codes[:0]
+            )[0] == {0: expected}
+        # Appends that land on row counts where the residue is not 0.
+        rows = [("a",)] * 10
+        oracle = EntropyOracle(Relation.from_rows(rows, ["A"]))
+        oracle.enable_delta_tracking()
+        oracle.entropy_mask(0)
+        oracle.entropy_mask(1)
+        for n in (11, 13, 29, 47):
+            new_rel, delta = append_rows(oracle.relation, [("b",)] * (n - oracle.relation.n_rows))
+            oracle.advance(new_rel, delta)
+            assert oracle._memo[0] == EntropyOracle(new_rel).entropy_mask(0)
+            assert oracle.entropy_mask(0) == 0.0
+
+
+# --------------------------------------------------------------------- #
+# The batched append against the per-set path of repro.reference
+# --------------------------------------------------------------------- #
+
+#: Codes of a "large" column: its radix 2^31 puts the key space of two
+#: such columns at the dense-radix bound, and of three past it.
+LARGE_CODE = 2**31 - 1
+
+
+@st.composite
+def tracked_appends(draw):
+    """A raw-coded relation, 1-3 appended blocks and the masks to track.
+
+    Large columns make some sets untrackable and split the batch into
+    several runs of shifted keys; ``grow`` appends a code past one
+    column's radix, which forces its sets to rebuild.
+    """
+    n_cols = draw(st.integers(1, 6))
+    cells = st.integers(0, 2)
+    n_rows = draw(st.integers(0, 10))
+    base = np.array(
+        draw(st.lists(st.lists(cells, min_size=n_cols, max_size=n_cols),
+                      min_size=n_rows, max_size=n_rows)),
+        dtype=np.int64,
+    ).reshape(n_rows, n_cols)
+    large = draw(st.lists(st.integers(0, n_cols - 1), unique=True, max_size=4))
+    if n_rows and large:
+        base[0, large] = LARGE_CODE
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 8))
+        block = np.array(
+            draw(st.lists(st.lists(cells, min_size=n_cols, max_size=n_cols),
+                          min_size=k, max_size=k)),
+            dtype=np.int64,
+        )
+        grow = draw(st.none() | st.integers(0, n_cols - 1))
+        if grow is not None:
+            seen = np.concatenate([base] + blocks)[:, grow]
+            block[0, grow] = int(seen.max()) + 1 if len(seen) else 1
+        blocks.append(block)
+    full = (1 << n_cols) - 1
+    extra = draw(st.lists(st.integers(0, full), max_size=6))
+    masks = [0, full] + [1 << j for j in range(n_cols)] + extra
+    return base, blocks, list(dict.fromkeys(masks))
+
+
+class TestBatchedAppend:
+    @settings(max_examples=150, deadline=None)
+    @given(tracked_appends(), st.sampled_from([partitions.APPEND_KEYS, 1, 5]))
+    @example(  # three large columns: two runs of shifted keys, {0,1,2} untrackable
+        (np.array([[LARGE_CODE] * 3, [0, 1, 2]], dtype=np.int64),
+         [np.array([[1, 1, 1], [0, 2, 0]], dtype=np.int64)],
+         [0, 7, 1, 2, 4, 3, 5, 6]),
+        partitions.APPEND_KEYS,
+    )
+    @example(  # growing a large column pushes {0,1} past the bound on rebuild
+        (np.array([[LARGE_CODE, LARGE_CODE], [0, 1]], dtype=np.int64),
+         [np.array([[LARGE_CODE + 1, 0]], dtype=np.int64)],
+         [0, 3, 1, 2]),
+        partitions.APPEND_KEYS,
+    )
+    def test_batched_pass_matches_per_set_path(self, case, append_keys):
+        """``append_keys`` below the block's keys merges it in row chunks."""
+        with mock.patch.object(partitions, "APPEND_KEYS", append_keys):
+            self._check(*case)
+
+    def _check(self, base, blocks, masks):
+        columns = _columns(base.shape[1])
+        relation = Relation(base, columns)
+        batched = DeltaTracker(relation)
+        per_set = DeltaTracker(relation)
+        for mask in masks:
+            assert batched.entropy_of_mask(mask) == per_set.entropy_of_mask(mask)
+        codes = base
+        for block in blocks:
+            start = codes.shape[0]
+            codes = np.concatenate([codes, block])
+            new_rel = Relation(codes, columns)
+            delta = Delta(start, len(block), (0,) * len(columns), "")
+            patched, stats = batched.advance(new_rel, delta)
+            want, want_stats = reference.advance_per_set(per_set._parts, new_rel, block)
+            per_set.relation = new_rel
+            assert stats == want_stats
+            assert patched == want
+            fresh = EntropyOracle(new_rel)
+            for mask in masks:
+                got, ref = batched._parts[mask], per_set._parts[mask]
+                assert (got is None) == (ref is None)
+                assert batched.entropy_of_mask(mask) == fresh.entropy_mask(mask)
+                if got is None:
+                    continue
+                assert np.array_equal(got.keys, ref.keys)
+                assert np.array_equal(got.counts, ref.counts)
+                assert got.n_rows == ref.n_rows == new_rel.n_rows
+                assert got.entropy() == ref.entropy()
 
 
 # --------------------------------------------------------------------- #
