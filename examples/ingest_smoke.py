@@ -9,7 +9,12 @@ asserts the backend seam's whole contract:
   (both artefacts carry it, so the comparison is end to end);
 * the mined MVDs and minimal separators are identical between backends;
 * ``repro ingest`` refuses to clobber an existing store without
-  ``--force`` and reports a clean structured error for a missing CSV.
+  ``--force`` and reports a clean structured error for a missing CSV;
+* mined in process (``repro.api.run`` with ``DataSpec(store=...)``), a
+  store whose rows repeat is packed into its distinct tuples in one
+  streamed pass (``kernel.packs`` is 1 and ``kernel.chunked_chunks`` is
+  the chunks of one pass), while a store of all-distinct rows declines
+  the pack and still mines what the CSV mines.
 
 Used as the CI backends smoke step; exits non-zero on any failure.
 
@@ -18,6 +23,7 @@ Run with: ``PYTHONPATH=src python examples/ingest_smoke.py``
 
 import csv
 import json
+import math
 import os
 import random
 import subprocess
@@ -25,6 +31,9 @@ import sys
 import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from repro import api  # noqa: E402
+from repro.kernels.dispatch import DEFAULT_CHUNK_ROWS  # noqa: E402
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 ENV = {**os.environ, "PYTHONPATH": "src"}
@@ -43,21 +52,69 @@ def repro(*args, expect=0):
     return proc
 
 
-def main() -> int:
-    tmp = tempfile.mkdtemp(prefix="ingest-smoke-")
-    csv_path = os.path.join(tmp, "data.csv")
-    store = os.path.join(tmp, "data.store")
+ROWS = 3000
 
+
+def write_csv(path: str, with_id: bool) -> None:
+    """The smoke relation; ``with_id`` adds a row id, so no row repeats."""
     rng = random.Random(11)
-    with open(csv_path, "w", newline="") as f:
+    with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["region", "product", "size", "rating"])
-        for _ in range(3000):
+        writer.writerow((["id"] if with_id else [])
+                        + ["region", "product", "size", "rating"])
+        for i in range(ROWS):
             region = rng.choice(["north", "south", "east"])
             product = rng.choice(["ore", "grain", "cloth", "tools"])
             # size is a function of product: a real dependency to mine.
             size = {"ore": "XL", "grain": "L", "cloth": "M", "tools": "S"}[product]
-            writer.writerow([region, product, size, rng.choice(["a", "b"])])
+            row = [region, product, size, rng.choice(["a", "b"])]
+            writer.writerow(([f"r{i}"] if with_id else []) + row)
+
+
+def mine_store_in_process(store: str):
+    """Mine a store through the library front door; the result's payload
+    and flat counters."""
+    request = api.TaskRequest(
+        "mine", api.MineSpec(eps=0.01), data=api.DataSpec(store=store))
+    result = api.run(request)
+    return result.payload, result.counters
+
+
+def check_packing(tmp: str, from_memory: dict) -> None:
+    """The in-process store mine packs in one pass and equals the CSV mine."""
+    one_pass = math.ceil(ROWS / DEFAULT_CHUNK_ROWS)
+    store = os.path.join(tmp, "data.store")
+    payload, counters = mine_store_in_process(store)
+    assert counters["kernel.packs"] == 1, counters
+    assert counters["kernel.pack_declines"] == 0, counters
+    assert counters["kernel.chunked_chunks"] == one_pass, counters
+    assert payload["mvds"] == from_memory["mvds"]
+    assert payload["min_seps"] == from_memory["min_seps"]
+
+    # All rows distinct: the pack declines and every count streams.
+    distinct_csv = os.path.join(tmp, "distinct.csv")
+    distinct_store = os.path.join(tmp, "distinct.store")
+    distinct_json = os.path.join(tmp, "distinct_mine.json")
+    write_csv(distinct_csv, with_id=True)
+    repro("ingest", distinct_csv, "--out", distinct_store)
+    repro("mine", distinct_csv, "--eps", "0.01", "--no-persist",
+          "--json", distinct_json)
+    with open(distinct_json) as f:
+        distinct_memory = json.load(f)
+    payload, counters = mine_store_in_process(distinct_store)
+    assert counters["kernel.packs"] == 0, counters
+    assert counters["kernel.pack_declines"] == 1, counters
+    assert counters["kernel.chunked_chunks"] > one_pass, counters
+    assert payload["fingerprint"] == distinct_memory["fingerprint"]
+    assert payload["mvds"] == distinct_memory["mvds"]
+    assert payload["min_seps"] == distinct_memory["min_seps"]
+
+
+def main() -> int:
+    tmp = tempfile.mkdtemp(prefix="ingest-smoke-")
+    csv_path = os.path.join(tmp, "data.csv")
+    store = os.path.join(tmp, "data.store")
+    write_csv(csv_path, with_id=False)
 
     # Ingest, with the trace so the per-chunk spans show in CI logs.
     out = repro("ingest", csv_path, "--out", store,
@@ -90,9 +147,12 @@ def main() -> int:
     assert from_store["min_seps"] == from_memory["min_seps"]
     assert from_store["mvds"], "expected at least the planted product->size MVD"
 
+    check_packing(tmp, from_memory)
+
     print("ingest smoke OK:", len(from_store["mvds"]), "MVDs,",
           "fingerprint", from_store["fingerprint"][:12],
-          "identical across backends")
+          "identical across backends; store packed in one pass,",
+          "all-distinct store declined")
     return 0
 
 

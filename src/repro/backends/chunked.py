@@ -11,11 +11,20 @@ composes from too.
 
 Routing:
 
-* ``counts``/``entropy`` — the hot, counts-first path — stream through
+* ``counts``/``entropy`` — the hot, counts-first path.  The first call
+  makes one streamed pass over all columns and packs the store into
+  its distinct tuples with their multiplicities
+  (:func:`repro.kernels.dispatch.pack`, the routine the in-memory
+  counter uses too).  The cap is :func:`repro.kernels.count.pack_cap`
+  of the rows and at most one chunk's rows, so a packed table never
+  holds more than a chunk's worth, and the pass stops reading as soon
+  as more distinct tuples turn up.  A packed store answers every later
+  count from memory, with no further chunk reads.  A store that
+  declines streams each count through
   :func:`repro.kernels.dispatch.stream_counts` (bincount-merge /
-  sorted-run merge / row-tuple merge; see that module), or are pushed
-  down to the backend when it advertises ``supports_count_pushdown``
-  (the DuckDB group-by path).  Either way the counts vector is
+  sorted-run merge / row-tuple merge; see that module).  Backends that
+  advertise ``supports_count_pushdown`` (the DuckDB group-by path) are
+  asked directly and never packed.  Every way, the counts vector is
   bit-identical to the in-memory dispatcher, so
   :class:`~repro.entropy.plicache.PLICacheEngine`'s fast path mines a
   store without ever materialising it.
@@ -29,12 +38,15 @@ Routing:
 Stats use the same key set as the in-memory dispatcher (the
 ``chunked_*`` keys are part of ``dispatch._STAT_KEYS``), so engines'
 ``snapshot_since`` bookkeeping and the flat ``kernel.*`` counter
-namespace work unchanged.
+namespace work unchanged.  The pack pass counts its blocks in
+``chunked_chunks`` and itself as ``packs`` or ``pack_declines``; each
+answer from the packed table counts as a ``bincount`` or ``sort``, each
+streamed one under its ``chunked_*`` lane.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -62,7 +74,7 @@ class ChunkedGroupCounter:
     """
 
     __slots__ = ("backend", "radix", "n_rows", "limit", "chunk_rows",
-                 "stats", "_materialize", "_dense")
+                 "stats", "_materialize", "_dense", "_packed")
 
     def __init__(
         self,
@@ -78,9 +90,12 @@ class ChunkedGroupCounter:
         self.stats: Dict[str, int] = dict.fromkeys(_STAT_KEYS, 0)
         self._materialize = materialize
         self._dense: Optional["dispatch.GroupCounter"] = None
+        #: As :class:`~repro.kernels.dispatch.GroupCounter`'s: the packed
+        #: table once probed, or ``False`` when the store declined.
+        self._packed: Union[None, bool, "dispatch.PackedTable"] = None
 
     # ------------------------------------------------------------------ #
-    # Streamed counts (the hot path)
+    # Counts (the hot path): packed table after one pass, else streamed
     # ------------------------------------------------------------------ #
 
     def counts(self, idx: Tuple[int, ...]) -> np.ndarray:
@@ -98,12 +113,35 @@ class ChunkedGroupCounter:
         if self.backend.supports_count_pushdown:
             self.stats["chunked_pushdown"] += 1
             return self.backend.key_counts(tuple(idx))
+        packed = self._packed
+        if packed is None:
+            packed = self._packed = self._pack()
+        if packed:
+            return packed.counts(idx)
         return dispatch.stream_counts(
             self.backend.iter_chunks(idx, self.chunk_rows),
             tuple(self.radix[j] for j in idx),
             self.limit,
             self.stats,
         )
+
+    def _pack(self) -> Union[bool, "dispatch.PackedTable"]:
+        """One streamed pass over all columns into the packed table.
+
+        The cap is :func:`~repro.kernels.count.pack_cap` of the rows and
+        at most one chunk's rows, so the table never holds more than a
+        chunk's worth; the pass stops reading as soon as more distinct
+        tuples turn up.  The table's prefix LRU gets the same budget.
+        """
+        cap = min(count.pack_cap(self.n_rows), self.chunk_rows)
+        chunks = self.backend.iter_chunks(tuple(range(len(self.radix))), self.chunk_rows)
+        return dispatch.pack(dispatch.counted(chunks, self.stats), self.radix,
+                             self.limit, cap, self.stats, self.chunk_rows)
+
+    @property
+    def packed(self) -> Optional["dispatch.PackedTable"]:
+        """The packed table, if the store packed."""
+        return self._packed or None
 
     def entropy(self, idx: Tuple[int, ...]) -> float:
         """Plug-in entropy H(idx) in bits, streamed (Eq. 5)."""
@@ -145,6 +183,8 @@ class ChunkedGroupCounter:
     def clear_cache(self) -> None:
         if self._dense is not None:
             self._dense.clear_cache()
+        if self._packed:
+            self._packed.tuples.clear_cache()
 
     def snapshot(self) -> Dict[str, int]:
         """Streamed + dense-fallback counters, one flat dict."""

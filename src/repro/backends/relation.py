@@ -15,7 +15,10 @@ duck-types the ``Relation`` surface:
   / ``distinct_count``, ``iter_column_chunks`` (the fingerprint feed).
   The counts-first mining path — ``PLICacheEngine`` fast path +
   ``entropy_from_counts`` — touches nothing else, which is what makes
-  mining a store 10-100x larger than RAM possible.
+  mining a store 10-100x larger than RAM possible.  A store whose
+  distinct tuples fit one chunk (and half its rows) is read once, into
+  its packed table, and counted from memory after that; any other
+  store streams its chunks per count.
 * **Materialising** (documented, lazy, cached): ``codes``, ``domains``,
   row access and the relational operations (``project`` etc.), which
   are inherently O(rows).  The first such call builds the in-memory

@@ -713,13 +713,19 @@ def approx_scale_benchmark(
     from repro.core.maimon import Maimon
     from repro.data.generators import markov_tree
 
-    runs: List[Dict[str, object]] = []
-    for n in rows_list:
-        relation = markov_tree(
+    def fresh(n):
+        # One relation per arm: a relation's counter builds its narrow
+        # columns and packed table on first use, and those must not
+        # carry from one arm into the other.
+        return markov_tree(
             n_cols, n, seed=seed, domain_size=domain_size,
             fd_fraction=fd_fraction, determinism=determinism,
             name=f"approx{n}",
         )
+
+    runs: List[Dict[str, object]] = []
+    for n in rows_list:
+        relation = fresh(n)
         approx_spec = EngineSpec(
             engine="approx", sample_rows=sample_rows, confidence=confidence
         )
@@ -730,6 +736,7 @@ def approx_scale_benchmark(
         counters = approx.counters()
         approx.close()
 
+        relation = fresh(n)
         t0 = time.perf_counter()
         exact = Maimon(relation)
         exact_result = exact.mine_mvds(eps)

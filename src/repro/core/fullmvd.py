@@ -54,6 +54,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.common import attrset
 from repro.core.budget import SearchBudget, ensure_budget
 from repro.core.mvd import MVD
@@ -188,6 +190,44 @@ def pairwise_consistent(
     return None if deps is None else _as_mvd(key, deps)
 
 
+def _prune_refined(found: List[Deps], free_mask: int, budget: SearchBudget) -> List[Deps]:
+    """The outputs that no other output strictly refines, in ``found`` order.
+
+    Every output partitions the same free attributes, so only an output
+    with more dependents can strictly refine another, and ``fine``
+    refines ``coarse`` iff each attribute lies in the same ``coarse``
+    dependent as the lowest attribute of its ``fine`` dependent.  Each
+    output becomes a row of such labels (per attribute, the position of
+    its dependent's lowest attribute), and one vectorised comparison
+    tests an output against all finer ones.
+
+    The budget is checked before each output is confirmed; a prune cut
+    short returns the outputs it has confirmed full so far.
+    """
+    position = {a: i for i, a in enumerate(bits_of(free_mask))}
+    rows = []
+    for deps in found:
+        row = [0] * len(position)
+        for d in deps:
+            low = position[(d & -d).bit_length() - 1]
+            for a in bits_of(d):
+                row[position[a]] = low
+        rows.append(row)
+    labels = np.array(rows)
+    sizes = np.array([len(deps) for deps in found])
+    kept = []
+    for i, deps in enumerate(found):
+        if budget.exhausted:
+            break
+        finer = sizes > sizes[i]
+        if finer.any():
+            own = labels[i]
+            if (own[labels[finer]] == own).all(axis=1).any():
+                continue
+        kept.append(deps)
+    return kept
+
+
 def get_full_mvds(
     oracle: EntropyOracle,
     key: Iterable[int],
@@ -218,8 +258,9 @@ def get_full_mvds(
         Use the pairwise-consistency pruning of Fig. 17 (default) instead of
         the plain DFS of Fig. 6.
     budget:
-        Optional search budget; on exhaustion the outputs found so far are
-        returned (possibly incomplete).
+        Optional search budget, checked by the search and by the prune.
+        On exhaustion the result is incomplete: the outputs found so far,
+        or, once the prune has started, those it had confirmed full.
     prune_refined:
         Drop outputs strictly refined by another output, enforcing fullness
         among the returned set (see DESIGN.md; the plain DFS can output two
@@ -264,15 +305,9 @@ def get_full_mvds(
             if nbr not in seen:
                 seen.add(nbr)
                 stack.append(nbr)
-    out = [_as_mvd(key, deps) for deps in found]
-    if prune_refined and len(out) > 1:
-        # phi is not full if some other output strictly refines it.
-        out = [
-            phi
-            for phi in out
-            if not any(other.strictly_refines(phi) for other in out if other is not phi)
-        ]
-    return sorted(set(out))
+    if prune_refined and len(found) > 1:
+        found = _prune_refined(found, free.mask, budget)
+    return sorted(_as_mvd(key, deps) for deps in found)
 
 
 def key_separates(

@@ -351,7 +351,9 @@ class Relation:
         matrix and radix bounds.  It answers counts/ids/entropy queries by
         composing mixed-radix keys with smallest-sufficient dtypes and
         dispatching to a bincount or sort kernel — both bit-identical;
-        see :mod:`repro.kernels.dispatch` for the selection rules.
+        see :mod:`repro.kernels.dispatch` for the selection rules, and
+        for the packed table that answers counts over the distinct
+        tuples when rows repeat.
         Shared by :meth:`group_ids`,
         :meth:`group_sizes`, :meth:`distinct_count` and the entropy
         engines, so its ``stats`` counters aggregate every grouping this

@@ -10,7 +10,10 @@ in-memory relation, the chunk-streaming lanes of :mod:`repro.backends`
 for a store), which compose mixed-radix keys and count them.  The
 kernels' composed-prefix cache plays the role the paper's block tables
 played: lattice-adjacent queries reuse the key columns of their
-predecessors.
+predecessors.  When the relation's rows repeat, the kernels count over
+its distinct tuples weighted by multiplicity (the packed table of
+:mod:`repro.kernels.dispatch`), so an evaluation costs the number of
+distinct tuples rather than rows; its value is the same float.
 
 The entropy memo is keyed by the :class:`~repro.lattice.AttrSet`
 bitmask of the attribute set (a plain int), so a repeat query costs one

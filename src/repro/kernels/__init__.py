@@ -18,7 +18,10 @@ sort      ``O(n log n)``                 ``np.unique`` — the legacy path and
 
 Both kernels return counts in ascending key order, making every dispatch
 choice bit-identical to the legacy sort path — verified by the parity
-suite in ``tests/test_kernels.py``.
+suite in ``tests/test_kernels.py``.  A relation whose distinct tuples
+are at most half its rows is counted over those tuples, weighted by
+multiplicity (:class:`~repro.kernels.dispatch.PackedTable`), with the
+same counts vector.
 
 Keys are composed from narrow, contiguous code columns, one dtype per
 column chosen by :func:`narrow_dtype` (the width the on-disk stores use

@@ -44,6 +44,12 @@ BINCOUNT_RATIO = 4
 #: Never allocate more than this many counters (16M entries = 128 MB),
 #: whatever the row count says.
 BINCOUNT_HARD_CAP = 1 << 24
+#: Count a relation over its G distinct tuples (weighted by
+#: multiplicity) only when ``G * PACK_RATIO <= N``.  Measured on a 2-vCPU
+#: x86-64 host, all 255 subsets of an 8-column relation of 100k shuffled
+#: rows, probe included: packed / row time 0.59 at G = N/3, 0.91 at N/2,
+#: 0.99 at 3N/4 and 1.04 at 0.9N.
+PACK_RATIO = 2
 
 
 def bincount_limit(n_rows: int) -> int:
@@ -51,26 +57,49 @@ def bincount_limit(n_rows: int) -> int:
     return min(BINCOUNT_HARD_CAP, max(BINCOUNT_MIN_BOUND, BINCOUNT_RATIO * n_rows))
 
 
+def pack_cap(n_rows: int) -> int:
+    """Most distinct tuples a relation of ``n_rows`` rows packs into."""
+    return n_rows // PACK_RATIO
+
+
 # --------------------------------------------------------------------- #
 # Count-only kernels (ascending key order)
 # --------------------------------------------------------------------- #
 
 
-def bincount_counts(keys: np.ndarray, dense: bool = False) -> np.ndarray:
+def bincount_counts(
+    keys: np.ndarray, dense: bool = False, weights: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Group sizes via one ``np.bincount`` scatter, ``O(n + K)``.
 
     ``dense=True`` asserts the keys are already dense group ids (every
     value in ``0..max`` occurs), letting the zero-compression pass be
     skipped.  Counts come out indexed by key, i.e. ascending key order.
+
+    ``weights`` gives each key a positive integer multiplicity (a packed
+    table's tuple counts, as float64), and a group's size is the sum of
+    its weights.  NumPy sums them in float64, which is exact while every
+    sum stays below 2^53, so the int64 result equals the count over the
+    rows the weights stand for.
     """
+    if weights is not None:
+        sums = np.bincount(keys, weights=weights)
+        return sums[sums > 0].astype(np.int64)
     counts = np.bincount(keys)
     if dense:
         return counts
     return counts[counts > 0]
 
 
-def sort_counts(keys: np.ndarray) -> np.ndarray:
-    """Group sizes via ``np.unique`` (the legacy sort path)."""
+def sort_counts(keys: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Group sizes via ``np.unique`` (the legacy sort path).
+
+    ``weights`` as in :func:`bincount_counts`.
+    """
+    if weights is not None:
+        uniq, inv = np.unique(keys, return_inverse=True)
+        sums = np.bincount(inv.reshape(-1), weights=weights, minlength=len(uniq))
+        return sums.astype(np.int64)
     return np.unique(keys, return_counts=True)[1]
 
 
@@ -177,22 +206,38 @@ def merge_row_counts(
     )
 
 
-def chunked_bincount_counts(chunks, bound: int) -> np.ndarray:
-    """Group sizes accumulated over key chunks via one shared table.
+# The three streamed lanes.  Each returns its distinct keys (or key
+# tuples) next to the counts, which is what packing a relation reads
+# (:func:`repro.kernels.dispatch.pack`), and gives up, returning
+# ``None``, as soon as more than ``cap`` distinct keys have been seen.
+
+
+def chunked_bincount_keys(
+    chunks, bound: int, cap: Optional[int] = None
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(distinct keys, counts)`` over key chunks via one shared table.
 
     ``chunks`` yields 1-D key arrays all bounded by ``bound``; the table
     is allocated once and every chunk scatters into it, so peak memory is
     ``8 * bound`` bytes plus one chunk.  Equivalent to
-    :func:`bincount_counts` over the concatenated keys.
+    :func:`key_counts` over the concatenated keys.
     """
     total = np.zeros(int(bound), dtype=np.int64)
+    seen = 0
     for chunk in chunks:
         total += np.bincount(chunk, minlength=len(total))
-    return total[total > 0]
+        seen += len(chunk)
+        # No more distinct keys than rows: skip the scan until then.
+        if cap is not None and seen > cap and np.count_nonzero(total) > cap:
+            return None
+    keys = np.flatnonzero(total)
+    return keys, total[keys]
 
 
-def chunked_merge_counts(chunks) -> np.ndarray:
-    """Group sizes accumulated over key chunks via sorted-run merging.
+def chunked_merge_keys(
+    chunks, cap: Optional[int] = None
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(distinct keys, counts)`` over key chunks via sorted-run merging.
 
     The fallback for key bounds past the table budget: each chunk is
     grouped locally (``np.unique``) and merged into the running
@@ -203,20 +248,27 @@ def chunked_merge_counts(chunks) -> np.ndarray:
     for chunk in chunks:
         uniq, c = np.unique(chunk, return_counts=True)
         keys, counts = merge_key_counts(keys, counts, uniq, c)
-    if counts is None:
-        return np.zeros(0, dtype=np.int64)
-    return counts
+        if cap is not None and len(keys) > cap:
+            return None
+    if keys is None:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return keys, counts
 
 
-def chunked_row_counts(chunks) -> np.ndarray:
-    """Group sizes over chunks of 2-D key-tuple matrices (wide-key lane)."""
+def chunked_row_keys(
+    chunks, cap: Optional[int] = None
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(distinct rows, counts)`` over chunks of 2-D key-tuple matrices
+    (the wide-key lane), rows in lexicographic order."""
     rows = counts = None
     for chunk in chunks:
         uniq, c = lex_row_counts(chunk)
         rows, counts = merge_row_counts(rows, counts, uniq, c)
-    if counts is None:
-        return np.zeros(0, dtype=np.int64)
-    return counts
+        if cap is not None and len(rows) > cap:
+            return None
+    if rows is None:
+        return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return rows, counts
 
 
 # --------------------------------------------------------------------- #

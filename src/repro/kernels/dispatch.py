@@ -21,6 +21,22 @@ Counting runs on:
 Both kernels return counts in ascending key order, so every choice is
 bit-identical; dispatch affects time, never values.
 
+**The packed table.**  Every entropy is a function of the relation's
+empirical distribution, which its distinct tuples and their
+multiplicities describe completely.  On the first ``counts``/``entropy``
+call the counter groups all columns once (:func:`pack`, the routine the
+store counter of :mod:`repro.backends` uses too).  When the ``G``
+distinct tuples satisfy ``G * PACK_RATIO <= N``
+(:data:`count.PACK_RATIO`) it keeps them with their int64 multiplicities
+in a :class:`PackedTable`, and every later count composes keys over the
+``G`` tuples and sums multiplicities per group instead of counting the
+``N`` rows: the counts vector, and so every entropy, is identical
+element for element.  Otherwise the relation is marked unpackable and
+its rows are counted as above.  Row-aligned answers (``ids``,
+``ids_and_counts``) always read the rows and never probe.  The probe is
+counted as ``packs`` or ``pack_declines``, never as a kernel call; each
+answer from the packed table counts as one ``bincount`` or ``sort``.
+
 **Prefix sharing.**  The planner (:mod:`repro.exec.plan`) orders batch
 requests by (size, lexicographic), so consecutive attribute sets share
 long composed-key prefixes — ``{0,1,2}`` then ``{0,1,3}`` differ in one
@@ -47,7 +63,7 @@ fast path the obs layer promises.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,6 +104,8 @@ _STAT_KEYS = (
     "chunked_merge",
     "chunked_wide",
     "chunked_chunks",
+    "packs",
+    "pack_declines",
 )
 
 
@@ -123,6 +141,38 @@ def _compose_chunk(
     return keys
 
 
+def counted(chunks, stats: Dict[str, int]):
+    """``chunks`` as they come, each one counted in ``chunked_chunks``."""
+    for block in chunks:
+        stats["chunked_chunks"] += 1
+        yield block
+
+
+def _stream_keys(chunks, radix: Tuple[int, ...], limit: int, cap: Optional[int]):
+    """Route row blocks to a streamed lane (see :func:`stream_counts`).
+
+    Returns ``(lane, groups)``: ``lane`` names the lane's stat and
+    ``groups`` is its ``(distinct keys, counts)`` — distinct key *rows*
+    on the ``chunked_wide`` lane — or ``None`` once more than ``cap``
+    distinct keys were seen.
+    """
+    bound = 1
+    for r in radix:
+        bound *= r  # Python int: exact, never overflows
+    dtype = compose.key_dtype(bound)
+    if 0 <= bound <= min(limit, CHUNK_TABLE_CAP):
+        keyed = (_compose_chunk(cols, radix, dtype) for cols in chunks)
+        return "chunked_bincount", count.chunked_bincount_keys(keyed, bound, cap)
+    if bound <= compose.INT64_KEY_BOUND:
+        keyed = (_compose_chunk(cols, radix, dtype) for cols in chunks)
+        return "chunked_merge", count.chunked_merge_keys(keyed, cap)
+    stacked = (
+        np.column_stack([np.ascontiguousarray(c, dtype=np.int64) for c in cols])
+        for cols in chunks
+    )
+    return "chunked_wide", count.chunked_row_keys(stacked, cap)
+
+
 def stream_counts(
     chunks,
     radix: Sequence[int],
@@ -141,41 +191,124 @@ def stream_counts(
     dispatch:
 
     * key product fits ``min(limit, CHUNK_TABLE_CAP)`` — shared bincount
-      table (:func:`count.chunked_bincount_counts`);
+      table (:func:`count.chunked_bincount_keys`);
     * fits int64 — per-chunk sort + run merge
-      (:func:`count.chunked_merge_counts`);
+      (:func:`count.chunked_merge_keys`);
     * otherwise — lexicographic row-tuple merge
-      (:func:`count.chunked_row_counts`).
+      (:func:`count.chunked_row_keys`).
 
     Every lane returns the same counts vector the in-memory kernels
     produce for the concatenated rows, so streamed entropies are
     bit-identical.
     """
     radix = tuple(max(int(r), 1) for r in radix)
-    bound = 1
-    for r in radix:
-        bound *= r  # Python int: exact, never overflows
+    lane, (_, counts) = _stream_keys(counted(chunks, stats), radix, limit, None)
+    stats[lane] += 1
+    return counts
 
-    def counted(it):
-        for block in it:
-            stats["chunked_chunks"] += 1
-            yield block
 
-    dtype = compose.key_dtype(bound)
-    if 0 <= bound <= min(limit, CHUNK_TABLE_CAP):
-        stats["chunked_bincount"] += 1
-        keyed = (_compose_chunk(cols, radix, dtype) for cols in counted(chunks))
-        return count.chunked_bincount_counts(keyed, bound)
-    if bound <= compose.INT64_KEY_BOUND:
-        stats["chunked_merge"] += 1
-        keyed = (_compose_chunk(cols, radix, dtype) for cols in counted(chunks))
-        return count.chunked_merge_counts(keyed)
-    stats["chunked_wide"] += 1
-    stacked = (
-        np.column_stack([np.ascontiguousarray(c, dtype=np.int64) for c in cols])
-        for cols in counted(chunks)
-    )
-    return count.chunked_row_counts(stacked)
+def _decode(keys: np.ndarray, radix: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """Code tuples of mixed-radix keys, first column most significant.
+
+    The inverse of :func:`_compose_chunk`: row ``g`` of the result
+    composes to ``keys[g]``, so ascending keys give tuples in
+    lexicographic order.
+    """
+    codes = np.empty((len(keys), len(radix)), dtype=dtype)
+    rest = keys.astype(np.int64)
+    for j in range(len(radix) - 1, 0, -1):
+        rest, codes[:, j] = np.divmod(rest, radix[j])
+    if len(radix):
+        codes[:, 0] = rest
+    return codes
+
+
+class PackedTable:
+    """A relation's distinct tuples and their multiplicities.
+
+    The relation's empirical distribution, and with it every plug-in
+    entropy, depends only on its distinct tuples and how often each
+    occurs.  The group counts of ``X`` are the sums of the
+    multiplicities of the tuples in each ``X``-group, and mixed-radix
+    keys over the same codes order those groups the same way, so
+    :meth:`counts` equals the row counter's vector element for element
+    while it composes keys over ``G`` tuples instead of ``N`` rows.
+
+    ``tuples`` is a :class:`GroupCounter` over the tuple codes, used
+    only to compose keys (with its own composed-prefix LRU); it shares
+    the owning counter's ``stats``, so each answer counts as one
+    ``bincount`` or ``sort`` there, as a row count would.
+    """
+
+    __slots__ = ("tuples", "weights", "stats")
+
+    def __init__(
+        self,
+        codes: np.ndarray,
+        counts: np.ndarray,
+        radix: Sequence[int],
+        stats: Dict[str, int],
+        prefix_budget: int,
+    ):
+        self.tuples = GroupCounter(codes, radix, prefix_budget, stats=stats)
+        # float64 for np.bincount's weights: exact below 2^53 rows.
+        self.weights = counts.astype(np.float64)
+        self.stats = stats
+
+    @property
+    def n_tuples(self) -> int:
+        return self.tuples.n_rows
+
+    def counts(self, idx: Tuple[int, ...]) -> np.ndarray:
+        """Group sizes for a non-empty ``idx``, in ascending key order."""
+        keys, bound = self.tuples.compose_keys(idx)
+        if 0 <= bound <= self.tuples.limit:
+            self.stats["bincount"] += 1
+            return count.bincount_counts(keys, weights=self.weights)
+        self.stats["sort"] += 1
+        return count.sort_counts(keys, weights=self.weights)
+
+
+def pack(
+    chunks,
+    radix: Sequence[int],
+    limit: int,
+    cap: int,
+    stats: Dict[str, int],
+    prefix_budget: int,
+) -> Union[PackedTable, bool]:
+    """Pack row blocks into their distinct tuples, or decline.
+
+    The one packing routine of both counters: :class:`GroupCounter`
+    feeds it slices of its narrow columns, the chunk-streaming counter
+    of :mod:`repro.backends` one pass of store blocks.  ``chunks`` yields
+    row blocks over *all* columns, as :func:`stream_counts` reads them,
+    and the same lanes group them: the composed keys of the shared table
+    or the merged runs are decoded back into code tuples
+    (:func:`_decode`); the row-tuple lane yields tuples directly.  The
+    tuples come in lexicographic (ascending key) order, in one
+    :func:`compose.narrow_dtype` wide enough for every column.
+
+    Declines, returning ``False``, as soon as more than ``cap`` distinct
+    tuples are seen, without reading the remaining blocks.  Counted as
+    ``packs`` or ``pack_declines``, never as a ``bincount``/``sort``; the
+    caller counts any chunks it reads.
+    """
+    radix = tuple(max(int(r), 1) for r in radix)
+    lane, groups = _stream_keys(chunks, radix, limit, cap)
+    if groups is None:
+        stats["pack_declines"] += 1
+        return False
+    keys, counts = groups
+    dtype = compose.narrow_dtype(max(radix, default=1))
+    if lane != "chunked_wide":
+        codes = _decode(keys, radix, dtype)
+    elif len(keys):
+        codes = keys.astype(dtype)
+    else:
+        codes = np.zeros((0, len(radix)), dtype=dtype)
+    stats["packs"] += 1
+    return PackedTable(codes, counts, radix, stats, prefix_budget)
 
 
 class GroupCounter:
@@ -191,26 +324,35 @@ class GroupCounter:
     prefix_budget:
         Element budget of the composed-prefix LRU; ``0`` disables
         prefix caching (every call composes from scratch).
+    stats:
+        Dispatch counters to share (a :class:`PackedTable` shares its
+        owner's); a fresh set by default.
     """
 
     __slots__ = ("codes", "radix", "n_rows", "limit", "stats", "prefix_budget",
-                 "_cols", "_prefix", "_prefix_elems")
+                 "_cols", "_prefix", "_prefix_elems", "_packed")
 
     def __init__(
         self,
         codes: np.ndarray,
         radix: Sequence[int],
         prefix_budget: int = PREFIX_BUDGET,
+        stats: Optional[Dict[str, int]] = None,
     ):
         self.codes = codes
         self.radix = tuple(int(r) for r in radix)
         self.n_rows = int(codes.shape[0])
         self.limit = count.bincount_limit(self.n_rows)
         self.prefix_budget = int(prefix_budget)
-        self.stats: Dict[str, int] = dict.fromkeys(_STAT_KEYS, 0)
+        self.stats: Dict[str, int] = (
+            dict.fromkeys(_STAT_KEYS, 0) if stats is None else stats
+        )
         self._cols: List[Optional[np.ndarray]] = [None] * len(self.radix)
         self._prefix: "OrderedDict[Tuple[int, ...], Tuple[np.ndarray, int]]" = OrderedDict()
         self._prefix_elems = 0
+        #: The packed table once probed: a :class:`PackedTable`, or
+        #: ``False`` when the relation declined to pack.
+        self._packed: Union[None, bool, PackedTable] = None
 
     # ------------------------------------------------------------------ #
     # Composition with prefix sharing
@@ -291,12 +433,40 @@ class GroupCounter:
         if not idx:
             n = self.n_rows
             return np.full(min(1, n), n, dtype=np.int64)
+        packed = self._packed
+        if packed is None:
+            packed = self._packed = self._pack()
+        if packed:
+            return packed.counts(idx)
         keys, bound = self.compose_keys(idx)
         if 0 <= bound <= self.limit:
             self.stats["bincount"] += 1
             return count.bincount_counts(keys)
         self.stats["sort"] += 1
         return count.sort_counts(keys)
+
+    def _pack(self) -> Union[PackedTable, bool]:
+        """Group all columns once into the packed table, or decline.
+
+        Reads the narrow columns in row blocks of
+        :data:`DEFAULT_CHUNK_ROWS`, as a store is read, and never touches
+        the composed-prefix LRU.  Packs when the distinct tuples are at
+        most :func:`count.pack_cap` of the rows.
+        """
+        cols = [self.column(j) for j in range(len(self.radix))]
+        step = DEFAULT_CHUNK_ROWS
+        blocks = (
+            [col[start:start + step] for col in cols]
+            for start in range(0, self.n_rows, step)
+        )
+        return pack(blocks, self.radix, self.limit, count.pack_cap(self.n_rows),
+                    self.stats, self.prefix_budget)
+
+    @property
+    def packed(self) -> Optional[PackedTable]:
+        """The packed table, if the relation packed (``None`` before the
+        first ``counts``/``entropy`` call too)."""
+        return self._packed or None
 
     def entropy(self, idx: Tuple[int, ...]) -> float:
         """Plug-in entropy H(idx) in bits — no partition materialized."""
@@ -395,9 +565,11 @@ class GroupCounter:
             self.stats[k] = 0
 
     def clear_cache(self) -> None:
-        """Drop all cached prefix key arrays."""
+        """Drop all cached prefix key arrays (the packed table's too)."""
         self._prefix.clear()
         self._prefix_elems = 0
+        if self._packed:
+            self._packed.tuples.clear_cache()
 
     def snapshot(self) -> Dict[str, int]:
         """Copy of the dispatch counters (for oracle/bench stats)."""

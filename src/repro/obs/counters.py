@@ -25,7 +25,11 @@ kernel     ``kernel.bincount``, ``kernel.sort``,
            ``kernel.densify_bincount``, ``kernel.densify_sort``,
            ``kernel.prefix_hits``, ``kernel.composed`` — the grouping
            kernel dispatcher (which lane answered, densify fallbacks,
-           composed-prefix cache hits).  Store-backed relations add the
+           composed-prefix cache hits); ``kernel.packs`` /
+           ``kernel.pack_declines`` (whether the relation was packed
+           into its distinct tuples, once per relation; a packed
+           relation's counts still show as ``bincount``/``sort``).
+           Store-backed relations add the
            chunk-streaming lanes of :mod:`repro.backends`:
            ``kernel.chunked_bincount`` / ``kernel.chunked_merge`` /
            ``kernel.chunked_wide`` (which streaming lane accumulated the

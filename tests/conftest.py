@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.data.generators import (
     lemma54_example,
@@ -64,3 +65,43 @@ def random_relation(n_cols: int, n_rows: int, seed: int, max_domain: int = 3) ->
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+#: Raw cell values of the wide columns of :func:`packing_relations`.  A
+#: column holding 2**20 + 3 has a radix past the bincount limit of small
+#: relations, and two columns holding 2**40 a radix product past int64,
+#: so the densify, sort and row-tuple lanes all run.
+RAW_VALUES = (0, 1, 2, 5, 2**20 + 3, 2**31 + 7, 2**40)
+
+
+@st.composite
+def packing_relations(draw, max_rows: int = 40):
+    """Relations of 1-7 raw-coded columns and 0-``max_rows`` rows.
+
+    Three shapes: a few distinct rows repeated many times (they pack),
+    all-distinct rows (packing declines) and independent random cells.
+    Some columns draw from :data:`RAW_VALUES`, the others small codes.
+    Built with ``Relation(codes, ...)`` so the raw codes are kept.
+    """
+    n_cols = draw(st.integers(1, 7))
+    n_rows = draw(st.integers(0, max_rows))
+    shape = draw(st.sampled_from(["repeated", "distinct", "random"]))
+    n_raw = draw(st.integers(0, n_cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cells(j, size):
+        if j < n_raw:
+            return rng.choice(RAW_VALUES, size)
+        return rng.integers(0, int(rng.integers(1, 5)), size)
+
+    if shape == "repeated":
+        k = draw(st.integers(1, 4))
+        base = np.column_stack([cells(j, k) for j in range(n_cols)])
+        codes = base[rng.integers(0, k, n_rows)]
+    else:
+        codes = np.column_stack([cells(j, n_rows) for j in range(n_cols)])
+        if shape == "distinct":
+            j = int(rng.integers(0, n_cols))
+            codes[:, j] = rng.permutation(n_rows) * int(rng.choice([1, 2**33]))
+    codes = codes.reshape(n_rows, n_cols).astype(np.int64)
+    return Relation(codes, [f"c{j}" for j in range(n_cols)])

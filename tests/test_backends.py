@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from repro.data.relation import Relation
 from repro.exec import persist
 from repro.kernels import count as kcount
 from repro.kernels import dispatch, narrow_dtype
+from tests.conftest import packing_relations
 
 
 def subsets(n_cols, max_size=None):
@@ -97,12 +100,14 @@ class TestMergeKernels:
     def test_chunked_drivers_match_whole_array(self):
         rng = np.random.default_rng(2)
         keys = rng.integers(0, 1000, 5000).astype(np.int64)
-        want = np.unique(keys, return_counts=True)[1]  # ascending key order
+        want_keys, want = np.unique(keys, return_counts=True)  # ascending
         chunks = [keys[i:i + 777] for i in range(0, len(keys), 777)]
-        got_b = kcount.chunked_bincount_counts(iter(chunks), 1000)
-        got_m = kcount.chunked_merge_counts(iter(chunks))
-        assert np.array_equal(got_b, want)
-        assert np.array_equal(got_m, want)
+        for got_keys, got in (
+            kcount.chunked_bincount_keys(iter(chunks), 1000),
+            kcount.chunked_merge_keys(iter(chunks)),
+        ):
+            assert np.array_equal(got_keys, want_keys)
+            assert np.array_equal(got, want)
 
 
 # --------------------------------------------------------------------- #
@@ -215,6 +220,83 @@ class TestStoreChunkContract:
             assert np.array_equal(stored.kernels.counts(idx), want), idx
         stats = stored.kernels.snapshot()
         assert stats["chunked_bincount"] > 0 and stats["chunked_merge"] > 0
+
+
+class TestPackedStore:
+    """A store packs in one streamed pass, within one chunk's rows."""
+
+    #: Stats of every answer a counter gives: in memory or packed, a
+    #: ``bincount``/``sort``; streamed, one of the chunk lanes.
+    ANSWERS = ("bincount", "sort", "chunked_bincount", "chunked_merge",
+               "chunked_wide")
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=packing_relations(), data=st.data())
+    def test_every_subset_matches_unique_rows(self, r, data):
+        codes, n = r.codes, r.n_rows
+        chunk_rows = data.draw(st.integers(1, max(n, 1)), label="chunk_rows")
+        cap = min(kcount.pack_cap(n), chunk_rows)
+        n_tuples = len(np.unique(codes, axis=0))
+        n_chunks = math.ceil(n / chunk_rows)
+        # The pass reads until the distinct tuples exceed the cap.
+        probe_chunks = next(
+            (k for k in range(1, n_chunks + 1)
+             if len(np.unique(codes[:k * chunk_rows], axis=0)) > cap),
+            n_chunks,
+        )
+        packs = n_tuples <= cap
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "store")
+            write_store(r, path)
+            counter = open_store_relation(path, chunk_rows=chunk_rows).kernels
+            stats = counter.stats
+            for size in range(1, r.n_cols + 1):
+                for idx in itertools.combinations(range(r.n_cols), size):
+                    _, want_ids, want = np.unique(
+                        codes[:, list(idx)], axis=0,
+                        return_inverse=True, return_counts=True,
+                    )
+                    answers = sum(stats[k] for k in self.ANSWERS)
+                    got = counter.counts(idx)
+                    assert sum(stats[k] for k in self.ANSWERS) == answers + 1
+                    assert np.array_equal(got, want), (idx, chunk_rows)
+                    assert counter.entropy(idx) == kern.entropy_from_counts(want, n)
+                    ids, n_groups = counter.ids(idx)
+                    assert n_groups == len(want)
+                    assert np.array_equal(ids, want_ids.reshape(-1)), idx
+            assert stats["packs"] == int(packs)
+            assert stats["pack_declines"] == int(not packs)
+            if packs:
+                # One pass, then every count from memory.
+                assert counter.packed.n_tuples == n_tuples <= cap
+                assert stats["chunked_chunks"] == n_chunks
+            else:
+                assert counter.packed is None
+                streamed = sum(stats[k] for k in self.ANSWERS[2:])
+                assert stats["chunked_chunks"] == probe_chunks + streamed * n_chunks
+
+    def test_table_never_exceeds_one_chunk(self):
+        # 40 distinct tuples over 4,000 rows pack in memory, but a store
+        # read 32 rows at a time declines: its cap is one chunk's rows.
+        rng = np.random.default_rng(8)
+        base = rng.integers(0, 6, (40, 4))
+        rel = Relation.from_codes(base[rng.permutation(4000) % 40])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "store")
+            write_store(rel, path)
+            for chunk_rows, packs in ((32, False), (40, True), (4000, True)):
+                counter = open_store_relation(path, chunk_rows=chunk_rows).kernels
+                want = rel.kernels.counts((0, 2))
+                assert np.array_equal(counter.counts((0, 2)), want)
+                assert counter.stats["packs"] == int(packs)
+                if packs:
+                    assert counter.packed.n_tuples == 40
+                else:
+                    # The pass stopped after two chunks, the first whose
+                    # rows hold more than 32 distinct tuples; the count
+                    # then streamed all 125.
+                    assert counter.stats["chunked_chunks"] == 2 + 125
+        assert rel.kernels.stats["packs"] == 1
 
 
 # --------------------------------------------------------------------- #

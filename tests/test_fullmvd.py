@@ -1,5 +1,7 @@
 """Tests for getFullMVDs against exhaustive enumeration."""
 
+import time
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from repro.core.fullmvd import (
 )
 from repro.core.measures import j_measure
 from repro.core.mvd import MVD
+from repro.data import datasets
 from repro.entropy.oracle import make_oracle
 from repro.reference import (
     full_mvds_with_key,
@@ -143,6 +146,61 @@ class TestGetFullMVDs:
             for j, b in enumerate(out):
                 if i != j:
                     assert not a.strictly_refines(b)
+
+
+class ExhaustsAfter(SearchBudget):
+    """A budget that runs out after ``limit`` ``exhausted`` checks
+    (never, for ``None``), counting the checks made."""
+
+    def __init__(self, limit=None):
+        super().__init__()
+        self.limit = limit
+        self.checks = 0
+
+    @property
+    def exhausted(self) -> bool:
+        self.checks += 1
+        return self.limit is not None and self.checks > self.limit
+
+
+class TestPruneBudget:
+    """The prune of refined outputs is bounded by the search budget."""
+
+    @pytest.mark.parametrize("pair", [None, (0, 1)])
+    def test_budgeted_search_returns_within_a_second_of_budget(self, pair):
+        # Key {5, 8} on the Echocardiogram surrogate: the search finds
+        # about 1,700 outputs and the prune cuts them to 3.  A prune that
+        # compared MVD objects pairwise, unchecked, took seconds after the
+        # search had returned.
+        relation = datasets.load("Echocardiogram")
+        oracle = make_oracle(relation)
+        start = time.perf_counter()
+        get_full_mvds(oracle, {5, 8}, 0.05, pair=pair,
+                      budget=SearchBudget(max_seconds=1.0))
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("seed,eps,rows", [
+        (1, 0.3, 60), (11, 0.1, 60), (11, 0.5, 30), (16, 0.5, 60),
+    ])
+    def test_prune_cut_short_returns_confirmed_outputs(self, seed, eps, rows):
+        # Inputs whose search finds outputs that other outputs refine.
+        r = random_relation(6, rows, seed=seed)
+        counter = ExhaustsAfter()
+        found = get_full_mvds(make_oracle(r), {0}, eps, prune_refined=False,
+                              budget=counter)
+        searched = counter.checks  # one check per node the search pops
+        full = get_full_mvds(make_oracle(r), {0}, eps)
+        assert len(found) > len(full) >= 2
+        previous = []
+        for extra in range(len(found) + 1):
+            # The search completes; the prune runs out after confirming
+            # or dropping ``extra`` outputs.  It returns only full ones.
+            got = get_full_mvds(make_oracle(r), {0}, eps,
+                                budget=ExhaustsAfter(searched + extra))
+            assert set(previous) <= set(got) <= set(full)
+            assert len(got) <= extra
+            previous = got
+        assert previous == full
 
 
 class TestKeySeparates:

@@ -34,8 +34,9 @@ from repro.kernels import (
     sort_ids,
     sort_ids_and_counts,
 )
+from repro.kernels import count as kcount
 from repro.reference import counting_oracle
-from conftest import random_relation
+from conftest import packing_relations, random_relation
 
 
 def legacy_group_ids(codes, radix, idx):
@@ -393,6 +394,63 @@ class TestWidthBoundaries:
         counts = np.unique(want, return_counts=True)[1]
         assert np.array_equal(gc.counts((0, 1)), counts)
         assert np.array_equal(gc.counts_chunked((0, 1), chunk_rows=2), counts)
+
+
+def unique_rows(codes, idx):
+    """``(ids, counts)`` of the distinct rows of ``codes[:, idx]``: the
+    reference every grouping of a relation is held to."""
+    _, ids, counts = np.unique(
+        codes[:, list(idx)], axis=0, return_inverse=True, return_counts=True
+    )
+    return ids.reshape(-1).astype(np.int64), counts
+
+
+def kernel_calls(stats):
+    return stats["bincount"] + stats["sort"]
+
+
+class TestPackedCounting:
+    """Counting over the packed table equals counting the rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=packing_relations())
+    def test_every_subset_matches_unique_rows(self, r):
+        codes, n = r.codes, r.n_rows
+        n_tuples = len(np.unique(codes, axis=0))
+        packs = n_tuples * kcount.PACK_RATIO <= n
+        gc = GroupCounter(codes, r.radix)
+        # Row-aligned answers never probe; the probe fills no prefix LRU
+        # (a one-column count remembers nothing either).
+        gc.ids((0,))
+        assert gc.stats["packs"] + gc.stats["pack_declines"] == 0
+        calls = kernel_calls(gc.stats)
+        gc.counts((0,))
+        assert kernel_calls(gc.stats) == calls + 1
+        assert gc.stats["packs"] == int(packs)
+        assert gc.stats["pack_declines"] == int(not packs)
+        assert gc._prefix_elems == 0
+        if packs:
+            assert gc.packed.n_tuples == n_tuples
+            assert gc.packed.tuples._prefix_elems == 0
+        else:
+            assert gc.packed is None
+        for size in range(1, r.n_cols + 1):
+            for idx in itertools.combinations(range(r.n_cols), size):
+                want_ids, want = unique_rows(codes, idx)
+                calls = kernel_calls(gc.stats)
+                got = gc.counts(idx)
+                assert kernel_calls(gc.stats) == calls + 1
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), idx
+                assert gc.entropy(idx) == entropy_from_counts(want, n)
+                ids, n_groups = gc.ids(idx)
+                assert n_groups == len(want)
+                assert np.array_equal(ids, want_ids), idx
+                fused_ids, fused_counts = gc.ids_and_counts(idx)
+                assert np.array_equal(fused_ids, want_ids), idx
+                assert np.array_equal(fused_counts, want), idx
+        # One probe per relation, whatever was asked since.
+        assert gc.stats["packs"] + gc.stats["pack_declines"] == 1
 
 
 class TestEnginesUseKernels:
