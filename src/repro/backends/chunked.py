@@ -138,11 +138,6 @@ class ChunkedGroupCounter:
         return dispatch.pack(dispatch.counted(chunks, self.stats), self.radix,
                              self.limit, cap, self.stats, self.chunk_rows)
 
-    @property
-    def packed(self) -> Optional["dispatch.PackedTable"]:
-        """The packed table, if the store packed."""
-        return self._packed or None
-
     def entropy(self, idx: Tuple[int, ...]) -> float:
         """Plug-in entropy H(idx) in bits, streamed (Eq. 5)."""
         if not idx:

@@ -190,8 +190,10 @@ def pairwise_consistent(
     return None if deps is None else _as_mvd(key, deps)
 
 
-def _prune_refined(found: List[Deps], free_mask: int, budget: SearchBudget) -> List[Deps]:
-    """The outputs that no other output strictly refines, in ``found`` order.
+def _prune_refined(
+    found: List[Deps], free_mask: int, budget: Optional[SearchBudget]
+) -> List[Deps]:
+    """The outputs that no other output strictly refines.
 
     Every output partitions the same free attributes, so only an output
     with more dependents can strictly refine another, and ``fine``
@@ -201,8 +203,10 @@ def _prune_refined(found: List[Deps], free_mask: int, budget: SearchBudget) -> L
     its dependent's lowest attribute), and one vectorised comparison
     tests an output against all finer ones.
 
-    The budget is checked before each output is confirmed; a prune cut
-    short returns the outputs it has confirmed full so far.
+    Outputs are tested finest first.  With a ``budget``, it is checked
+    before each comparison, and a prune cut short returns the outputs it
+    has confirmed: at least those with the most dependents, which no
+    other output can strictly refine.
     """
     position = {a: i for i, a in enumerate(bits_of(free_mask))}
     rows = []
@@ -216,15 +220,15 @@ def _prune_refined(found: List[Deps], free_mask: int, budget: SearchBudget) -> L
     labels = np.array(rows)
     sizes = np.array([len(deps) for deps in found])
     kept = []
-    for i, deps in enumerate(found):
-        if budget.exhausted:
-            break
+    for i in np.argsort(-sizes, kind="stable"):
         finer = sizes > sizes[i]
         if finer.any():
+            if budget is not None and budget.exhausted:
+                break
             own = labels[i]
             if (own[labels[finer]] == own).all(axis=1).any():
                 continue
-        kept.append(deps)
+        kept.append(found[i])
     return kept
 
 
@@ -258,9 +262,11 @@ def get_full_mvds(
         Use the pairwise-consistency pruning of Fig. 17 (default) instead of
         the plain DFS of Fig. 6.
     budget:
-        Optional search budget, checked by the search and by the prune.
-        On exhaustion the result is incomplete: the outputs found so far,
-        or, once the prune has started, those it had confirmed full.
+        Optional search budget.  A search it cuts short returns an
+        incomplete result: of the outputs found so far, those its prune
+        confirmed before the budget check, at least the ones with the
+        most dependents.  A search that explored every node is pruned
+        in full, even when the budget ran out on its last node.
     prune_refined:
         Drop outputs strictly refined by another output, enforcing fullness
         among the returned set (see DESIGN.md; the plain DFS can output two
@@ -306,7 +312,9 @@ def get_full_mvds(
                 seen.add(nbr)
                 stack.append(nbr)
     if prune_refined and len(found) > 1:
-        found = _prune_refined(found, free.mask, budget)
+        # An empty stack means every node was explored: that answer is
+        # final, so its prune is not cut short.
+        found = _prune_refined(found, free.mask, budget if stack else None)
     return sorted(_as_mvd(key, deps) for deps in found)
 
 

@@ -31,7 +31,7 @@ deliberately dumb so each is independently parity-testable.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,15 +133,46 @@ def key_counts(
 # * bincount-merge: one shared counter table, ``total += bincount(chunk)``
 #   per chunk, when the composed key bound fits a bounded table;
 # * sort-merge: per-chunk ``np.unique`` runs merged through
-#   :func:`merge_key_counts` (sorted-set union + exact int64 adds);
+#   :func:`merge_key_runs` (stable sort of sorted runs + exact int64 adds);
 # * row-merge: for key bounds past the int64 guard the keys stay as
 #   column tuples and :func:`lex_row_counts` groups them
 #   lexicographically — the order equal to ascending mixed-radix keys.
+#
+# The two merge lanes fold their per-chunk runs lazily
+# (:func:`_fold_runs`): runs wait until they hold as many keys as the
+# merged run, so a pass over mostly-distinct rows costs about two merges
+# of its keys, not one re-sort of the growing run per chunk.
 #
 # Every lane preserves ascending key order, so streamed counts are
 # element-for-element the in-memory counts vector and every downstream
 # entropy is bit-identical (densification in the in-memory path is
 # order-preserving, so it never changes the counts vector either).
+
+
+def merge_key_runs(
+    runs: Sequence[Tuple[np.ndarray, np.ndarray]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge ascending ``(distinct keys, counts)`` runs into one.
+
+    Each run must be sorted with unique keys (what ``np.unique`` and
+    :func:`key_counts` produce).  The concatenated keys are ordered by a
+    stable sort, which NumPy runs as timsort (radix sort for keys of 16
+    bits or less): it finds the sorted runs and merges them in linear
+    passes rather than sorting from scratch.  Counts are added in exact
+    int64 arithmetic — never via weighted bincount, which would
+    round-trip through float64.
+    """
+    if len(runs) == 1:
+        keys, counts = runs[0]
+        return keys, counts.astype(np.int64, copy=False)
+    keys = np.concatenate([k for k, _ in runs])
+    counts = np.concatenate([c for _, c in runs]).astype(np.int64, copy=False)
+    if len(keys) == 0:
+        return keys, counts
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(counts[order], starts)
 
 
 def merge_key_counts(
@@ -152,18 +183,11 @@ def merge_key_counts(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Merge two ascending ``(distinct keys, counts)`` runs into one.
 
-    Both runs must be sorted with unique keys (what ``np.unique`` and
-    :func:`key_counts` produce); the accumulator may be ``None`` on the
-    first chunk.  Counts are added in exact int64 arithmetic — never via
-    weighted bincount, which would round-trip through float64.
+    :func:`merge_key_runs` of the two; the accumulator may be ``None``.
     """
-    if acc_keys is None or len(acc_keys) == 0:
-        return keys, counts.astype(np.int64, copy=False)
-    uniq = np.union1d(acc_keys, keys)
-    out = np.zeros(len(uniq), dtype=np.int64)
-    out[np.searchsorted(uniq, acc_keys)] += acc_counts
-    out[np.searchsorted(uniq, keys)] += counts
-    return uniq, out
+    if acc_keys is None:
+        return merge_key_runs([(keys, counts)])
+    return merge_key_runs([(acc_keys, acc_counts), (keys, counts)])
 
 
 def lex_row_counts(
@@ -191,19 +215,47 @@ def lex_row_counts(
     return uniq, np.add.reduceat(weights[order], starts).astype(np.int64, copy=False)
 
 
-def merge_row_counts(
-    acc_rows: Optional[np.ndarray],
-    acc_counts: Optional[np.ndarray],
-    rows: np.ndarray,
-    counts: np.ndarray,
+def merge_row_runs(
+    runs: Sequence[Tuple[np.ndarray, np.ndarray]]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge two lexicographically grouped row runs (the wide-key lane)."""
-    if acc_rows is None or len(acc_rows) == 0:
+    """Merge lexicographically grouped row runs (the wide-key lane)."""
+    if len(runs) == 1:
+        rows, counts = runs[0]
         return rows, counts.astype(np.int64, copy=False)
     return lex_row_counts(
-        np.concatenate([acc_rows, rows]),
-        np.concatenate([acc_counts, counts.astype(np.int64, copy=False)]),
+        np.concatenate([r for r, _ in runs]),
+        np.concatenate([c for _, c in runs]).astype(np.int64, copy=False),
     )
+
+
+def _fold_runs(runs, merge, cap: Optional[int], empty):
+    """Fold ascending runs into one with ``merge``; ``None`` past ``cap``.
+
+    Runs wait until they hold at least as many keys as the merged run, so
+    a merge handles at most twice the keys it takes in, and folding a
+    pass costs about two passes over its runs instead of one pass over
+    the growing merged run per chunk.  Runs also merge as soon as they
+    could take the merged run past ``cap``: the merge then counts the
+    distinct keys exactly, so a capped pass gives up at the first run
+    that takes it past, without reading further.  Returns ``empty`` for
+    no runs at all.
+    """
+    merged = None
+    pending: List[Tuple[np.ndarray, np.ndarray]] = []
+    waiting = 0
+    for run in runs:
+        pending.append(run)
+        waiting += len(run[0])
+        held = 0 if merged is None else len(merged[0])
+        if waiting >= held or (cap is not None and held + waiting > cap):
+            merged = merge(pending if merged is None else [merged, *pending])
+            pending, waiting = [], 0
+            if cap is not None and len(merged[0]) > cap:
+                return None
+    if pending:
+        # Within the cap, or the last run would have merged above.
+        merged = merge([merged, *pending])
+    return empty if merged is None else merged
 
 
 # The three streamed lanes.  Each returns its distinct keys (or key
@@ -240,19 +292,13 @@ def chunked_merge_keys(
     """``(distinct keys, counts)`` over key chunks via sorted-run merging.
 
     The fallback for key bounds past the table budget: each chunk is
-    grouped locally (``np.unique``) and merged into the running
-    ``(keys, counts)`` run.  Peak memory is one chunk plus two runs of
-    the distinct-key count.
+    grouped locally (``np.unique``) and the runs are folded lazily
+    (:func:`_fold_runs`, :func:`merge_key_runs`).  Peak memory is one
+    chunk plus about twice the distinct-key count.
     """
-    keys = counts = None
-    for chunk in chunks:
-        uniq, c = np.unique(chunk, return_counts=True)
-        keys, counts = merge_key_counts(keys, counts, uniq, c)
-        if cap is not None and len(keys) > cap:
-            return None
-    if keys is None:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return keys, counts
+    runs = (np.unique(chunk, return_counts=True) for chunk in chunks)
+    empty = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return _fold_runs(runs, merge_key_runs, cap, empty)
 
 
 def chunked_row_keys(
@@ -260,15 +306,9 @@ def chunked_row_keys(
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """``(distinct rows, counts)`` over chunks of 2-D key-tuple matrices
     (the wide-key lane), rows in lexicographic order."""
-    rows = counts = None
-    for chunk in chunks:
-        uniq, c = lex_row_counts(chunk)
-        rows, counts = merge_row_counts(rows, counts, uniq, c)
-        if cap is not None and len(rows) > cap:
-            return None
-    if rows is None:
-        return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return rows, counts
+    runs = (lex_row_counts(chunk) for chunk in chunks)
+    empty = np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return _fold_runs(runs, merge_row_runs, cap, empty)
 
 
 # --------------------------------------------------------------------- #

@@ -32,7 +32,10 @@ in a :class:`PackedTable`, and every later count composes keys over the
 ``G`` tuples and sums multiplicities per group instead of counting the
 ``N`` rows: the counts vector, and so every entropy, is identical
 element for element.  Otherwise the relation is marked unpackable and
-its rows are counted as above.  Row-aligned answers (``ids``,
+its rows are counted as above.  In memory the probe groups all rows in
+one block, so a declined probe costs about one row count (a store's
+reads blocks and folds their sorted runs lazily,
+:func:`count.chunked_merge_keys`).  Row-aligned answers (``ids``,
 ``ids_and_counts``) always read the rows and never probe.  The probe is
 counted as ``packs`` or ``pack_declines``, never as a kernel call; each
 answer from the packed table counts as one ``bincount`` or ``sort``.
@@ -223,6 +226,26 @@ def _decode(keys: np.ndarray, radix: Tuple[int, ...], dtype: np.dtype) -> np.nda
     return codes
 
 
+def _dispatch_counts(
+    keys: np.ndarray,
+    bound: int,
+    limit: int,
+    stats: Dict[str, int],
+    weights: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Group sizes of composed keys on the kernel their bound favours.
+
+    ``bincount`` when ``bound`` fits ``limit``, ``sort`` otherwise; the
+    choice is counted in ``stats``.  ``weights`` are per-key
+    multiplicities (see :func:`count.bincount_counts`).
+    """
+    if 0 <= bound <= limit:
+        stats["bincount"] += 1
+        return count.bincount_counts(keys, weights=weights)
+    stats["sort"] += 1
+    return count.sort_counts(keys, weights=weights)
+
+
 class PackedTable:
     """A relation's distinct tuples and their multiplicities.
 
@@ -240,7 +263,7 @@ class PackedTable:
     ``bincount`` or ``sort`` there, as a row count would.
     """
 
-    __slots__ = ("tuples", "weights", "stats")
+    __slots__ = ("tuples", "weights")
 
     def __init__(
         self,
@@ -253,20 +276,12 @@ class PackedTable:
         self.tuples = GroupCounter(codes, radix, prefix_budget, stats=stats)
         # float64 for np.bincount's weights: exact below 2^53 rows.
         self.weights = counts.astype(np.float64)
-        self.stats = stats
-
-    @property
-    def n_tuples(self) -> int:
-        return self.tuples.n_rows
 
     def counts(self, idx: Tuple[int, ...]) -> np.ndarray:
         """Group sizes for a non-empty ``idx``, in ascending key order."""
-        keys, bound = self.tuples.compose_keys(idx)
-        if 0 <= bound <= self.tuples.limit:
-            self.stats["bincount"] += 1
-            return count.bincount_counts(keys, weights=self.weights)
-        self.stats["sort"] += 1
-        return count.sort_counts(keys, weights=self.weights)
+        tuples = self.tuples
+        keys, bound = tuples.compose_keys(idx)
+        return _dispatch_counts(keys, bound, tuples.limit, tuples.stats, self.weights)
 
 
 def pack(
@@ -439,34 +454,33 @@ class GroupCounter:
         if packed:
             return packed.counts(idx)
         keys, bound = self.compose_keys(idx)
-        if 0 <= bound <= self.limit:
-            self.stats["bincount"] += 1
-            return count.bincount_counts(keys)
-        self.stats["sort"] += 1
-        return count.sort_counts(keys)
+        return _dispatch_counts(keys, bound, self.limit, self.stats)
 
     def _pack(self) -> Union[PackedTable, bool]:
         """Group all columns once into the packed table, or decline.
 
-        Reads the narrow columns in row blocks of
-        :data:`DEFAULT_CHUNK_ROWS`, as a store is read, and never touches
-        the composed-prefix LRU.  Packs when the distinct tuples are at
-        most :func:`count.pack_cap` of the rows.
+        When the radix product fits int64, all rows form one block: one
+        composition and one bincount or sort, cheaper than folding the
+        sorted runs of row blocks (on a 2-CPU x86-64 host, 0.10 s against
+        0.26 s for 5M rows, 93% of them distinct).  Otherwise the
+        row-tuple lane would widen every column to int64, so it reads row
+        blocks of :data:`DEFAULT_CHUNK_ROWS`, as a store is read.  Never
+        touches the composed-prefix LRU.  Packs when the distinct tuples
+        are at most :func:`count.pack_cap` of the rows.
         """
         cols = [self.column(j) for j in range(len(self.radix))]
+        bound = 1
+        for r in self.radix:
+            bound *= max(r, 1)  # Python int: exact, never overflows
         step = DEFAULT_CHUNK_ROWS
+        if bound <= compose.INT64_KEY_BOUND:
+            step = max(self.n_rows, 1)
         blocks = (
             [col[start:start + step] for col in cols]
             for start in range(0, self.n_rows, step)
         )
         return pack(blocks, self.radix, self.limit, count.pack_cap(self.n_rows),
                     self.stats, self.prefix_budget)
-
-    @property
-    def packed(self) -> Optional[PackedTable]:
-        """The packed table, if the relation packed (``None`` before the
-        first ``counts``/``entropy`` call too)."""
-        return self._packed or None
 
     def entropy(self, idx: Tuple[int, ...]) -> float:
         """Plug-in entropy H(idx) in bits — no partition materialized."""

@@ -109,6 +109,31 @@ class TestMergeKernels:
             assert np.array_equal(got_keys, want_keys)
             assert np.array_equal(got, want)
 
+    def test_runs_fold_lazily_and_stop_at_the_cap(self):
+        # 64 chunks of fresh keys, as mostly-distinct rows give.  Merging
+        # each chunk into the growing run would merge ~208k keys; the
+        # fold merges each key a bounded number of times.
+        runs = [(np.arange(i * 100, (i + 1) * 100), np.ones(100, dtype=np.int64))
+                for i in range(64)]
+        merged = []
+
+        def merge(parts):
+            merged.append(sum(len(k) for k, _ in parts))
+            return kcount.merge_key_runs(parts)
+
+        keys, counts = kcount._fold_runs(iter(runs), merge, None, None)
+        assert np.array_equal(keys, np.arange(6400))
+        assert np.array_equal(counts, np.ones(6400))
+        assert sum(merged) <= 2 * 6400
+        # Capped, the fold gives up at the first run that takes the
+        # distinct keys past the cap and reads no further.
+        read = []
+        for cap in (99, 250, 6399):
+            read.clear()
+            gen = (read.append(run) or run for run in runs)
+            assert kcount._fold_runs(gen, merge, cap, None) is None
+            assert len(read) == cap // 100 + 1
+
 
 # --------------------------------------------------------------------- #
 # stream_counts lanes (kernels/dispatch.py)
@@ -268,10 +293,10 @@ class TestPackedStore:
             assert stats["pack_declines"] == int(not packs)
             if packs:
                 # One pass, then every count from memory.
-                assert counter.packed.n_tuples == n_tuples <= cap
+                assert counter._packed.tuples.n_rows == n_tuples <= cap
                 assert stats["chunked_chunks"] == n_chunks
             else:
-                assert counter.packed is None
+                assert counter._packed is False
                 streamed = sum(stats[k] for k in self.ANSWERS[2:])
                 assert stats["chunked_chunks"] == probe_chunks + streamed * n_chunks
 
@@ -290,7 +315,7 @@ class TestPackedStore:
                 assert np.array_equal(counter.counts((0, 2)), want)
                 assert counter.stats["packs"] == int(packs)
                 if packs:
-                    assert counter.packed.n_tuples == 40
+                    assert counter._packed.tuples.n_rows == 40
                 else:
                     # The pass stopped after two chunks, the first whose
                     # rows hold more than 32 distinct tuples; the count

@@ -179,28 +179,49 @@ class TestPruneBudget:
                       budget=SearchBudget(max_seconds=1.0))
         assert time.perf_counter() - start < 2.0
 
-    @pytest.mark.parametrize("seed,eps,rows", [
+    # Inputs whose search finds outputs that other outputs refine.
+    REFINED = pytest.mark.parametrize("seed,eps,rows", [
         (1, 0.3, 60), (11, 0.1, 60), (11, 0.5, 30), (16, 0.5, 60),
     ])
-    def test_prune_cut_short_returns_confirmed_outputs(self, seed, eps, rows):
-        # Inputs whose search finds outputs that other outputs refine.
-        r = random_relation(6, rows, seed=seed)
+
+    @staticmethod
+    def searched_nodes(r, eps):
         counter = ExhaustsAfter()
         found = get_full_mvds(make_oracle(r), {0}, eps, prune_refined=False,
                               budget=counter)
-        searched = counter.checks  # one check per node the search pops
+        return found, counter.checks  # one check per node the search pops
+
+    @REFINED
+    def test_completed_search_is_pruned_in_full(self, seed, eps, rows):
+        r = random_relation(6, rows, seed=seed)
+        found, nodes = self.searched_nodes(r, eps)
         full = get_full_mvds(make_oracle(r), {0}, eps)
         assert len(found) > len(full) >= 2
-        previous = []
-        for extra in range(len(found) + 1):
-            # The search completes; the prune runs out after confirming
-            # or dropping ``extra`` outputs.  It returns only full ones.
+        # The step budget runs out on the search's last node, or the
+        # clock lapses right after it: the answer is still complete.
+        got = get_full_mvds(make_oracle(r), {0}, eps,
+                            budget=SearchBudget(max_steps=nodes))
+        assert got == full
+        got = get_full_mvds(make_oracle(r), {0}, eps,
+                            budget=ExhaustsAfter(nodes))
+        assert got == full
+
+    @REFINED
+    def test_search_cut_short_keeps_finest_outputs(self, seed, eps, rows):
+        r = random_relation(6, rows, seed=seed)
+        _, nodes = self.searched_nodes(r, eps)
+        for popped in range(nodes):
+            # The budget runs out after ``popped`` nodes; the prune then
+            # stops at its first comparison.
+            raw = get_full_mvds(make_oracle(r), {0}, eps, prune_refined=False,
+                                budget=ExhaustsAfter(popped))
             got = get_full_mvds(make_oracle(r), {0}, eps,
-                                budget=ExhaustsAfter(searched + extra))
-            assert set(previous) <= set(got) <= set(full)
-            assert len(got) <= extra
-            previous = got
-        assert previous == full
+                                budget=ExhaustsAfter(popped))
+            assert set(got) <= set(raw)
+            if raw:
+                most = max(len(phi.dependents) for phi in raw)
+                assert got == sorted(phi for phi in raw
+                                     if len(phi.dependents) == most)
 
 
 class TestKeySeparates:

@@ -430,10 +430,10 @@ class TestPackedCounting:
         assert gc.stats["pack_declines"] == int(not packs)
         assert gc._prefix_elems == 0
         if packs:
-            assert gc.packed.n_tuples == n_tuples
-            assert gc.packed.tuples._prefix_elems == 0
+            assert gc._packed.tuples.n_rows == n_tuples
+            assert gc._packed.tuples._prefix_elems == 0
         else:
-            assert gc.packed is None
+            assert gc._packed is False
         for size in range(1, r.n_cols + 1):
             for idx in itertools.combinations(range(r.n_cols), size):
                 want_ids, want = unique_rows(codes, idx)
