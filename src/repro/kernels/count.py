@@ -175,21 +175,6 @@ def merge_key_runs(
     return keys[starts], np.add.reduceat(counts[order], starts)
 
 
-def merge_key_counts(
-    acc_keys: Optional[np.ndarray],
-    acc_counts: Optional[np.ndarray],
-    keys: np.ndarray,
-    counts: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge two ascending ``(distinct keys, counts)`` runs into one.
-
-    :func:`merge_key_runs` of the two; the accumulator may be ``None``.
-    """
-    if acc_keys is None:
-        return merge_key_runs([(keys, counts)])
-    return merge_key_runs([(acc_keys, acc_counts), (keys, counts)])
-
-
 def lex_row_counts(
     rows: np.ndarray, weights: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,7 @@ in a :class:`PackedTable`, and every later count composes keys over the
 element for element.  Otherwise the relation is marked unpackable and
 its rows are counted as above.  In memory the probe groups all rows in
 one block, so a declined probe costs about one row count (a store's
-reads blocks and folds their sorted runs lazily,
+probe reads blocks and folds their sorted runs lazily,
 :func:`count.chunked_merge_keys`).  Row-aligned answers (``ids``,
 ``ids_and_counts``) always read the rows and never probe.  The probe is
 counted as ``packs`` or ``pack_declines``, never as a kernel call; each

@@ -78,8 +78,7 @@ class TestMergeKernels:
         b = rng.integers(20, 90, 200).astype(np.int64)
         ka, ca = np.unique(a, return_counts=True)
         kb, cb = np.unique(b, return_counts=True)
-        keys, counts = kcount.merge_key_counts(None, None, ka, ca)
-        keys, counts = kcount.merge_key_counts(keys, counts, kb, cb)
+        keys, counts = kcount.merge_key_runs([(ka, ca), (kb, cb)])
         want_k, want_c = np.unique(np.concatenate([a, b]), return_counts=True)
         assert np.array_equal(keys, want_k)
         assert np.array_equal(counts, want_c)
