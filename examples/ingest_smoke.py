@@ -14,7 +14,11 @@ asserts the backend seam's whole contract:
   store whose rows repeat is packed into its distinct tuples in one
   streamed pass (``kernel.packs`` is 1 and ``kernel.chunked_chunks`` is
   the chunks of one pass), while a store of all-distinct rows declines
-  the pack and still mines what the CSV mines.
+  the pack and still mines what the CSV mines;
+* a ``schemas`` request on the packed store counts spurious tuples over
+  the packed tuples, never loading the store
+  (``kernel.chunked_materialized`` stays 0), while the all-distinct
+  store falls back to loading itself once; both rank the CSV's schemas.
 
 Used as the CI backends smoke step; exits non-zero on any failure.
 
@@ -80,10 +84,31 @@ def mine_store_in_process(store: str):
     return result.payload, result.counters
 
 
+def schemas_in_process(data: "api.DataSpec"):
+    """Rank schemas through the library front door; the result's ranked
+    schemas and flat counters."""
+    request = api.TaskRequest("schemas", api.SchemasSpec(eps=0.01), data=data)
+    result = api.run(request)
+    return result.payload["schemas"], result.counters
+
+
+def check_schemas(csv_path: str, store: str, materialized: int) -> None:
+    """A store ranks the CSV's schemas, loading itself ``materialized``
+    times (0 when it packs: spurious tuples are counted over its packed
+    tuples)."""
+    want, _ = schemas_in_process(api.DataSpec(csv=csv_path))
+    got, counters = schemas_in_process(api.DataSpec(store=store))
+    assert counters["kernel.chunked_materialized"] == materialized, counters
+    assert got == want
+    assert any(len(s["schema"]["bags"]) > 1 for s in got), got
+
+
 def check_packing(tmp: str, from_memory: dict) -> None:
-    """The in-process store mine packs in one pass and equals the CSV mine."""
+    """The in-process store mine packs in one pass and equals the CSV mine;
+    so do both stores' ``schemas`` requests."""
     one_pass = math.ceil(ROWS / DEFAULT_CHUNK_ROWS)
     store = os.path.join(tmp, "data.store")
+    check_schemas(os.path.join(tmp, "data.csv"), store, materialized=0)
     payload, counters = mine_store_in_process(store)
     assert counters["kernel.packs"] == 1, counters
     assert counters["kernel.pack_declines"] == 0, counters
@@ -108,10 +133,15 @@ def check_packing(tmp: str, from_memory: dict) -> None:
     assert payload["fingerprint"] == distinct_memory["fingerprint"]
     assert payload["mvds"] == distinct_memory["mvds"]
     assert payload["min_seps"] == distinct_memory["min_seps"]
+    check_schemas(distinct_csv, distinct_store, materialized=1)
 
 
 def main() -> int:
-    tmp = tempfile.mkdtemp(prefix="ingest-smoke-")
+    with tempfile.TemporaryDirectory(prefix="ingest-smoke-") as tmp:
+        return smoke(tmp)
+
+
+def smoke(tmp: str) -> int:
     csv_path = os.path.join(tmp, "data.csv")
     store = os.path.join(tmp, "data.store")
     write_csv(csv_path, with_id=False)
@@ -152,7 +182,8 @@ def main() -> int:
     print("ingest smoke OK:", len(from_store["mvds"]), "MVDs,",
           "fingerprint", from_store["fingerprint"][:12],
           "identical across backends; store packed in one pass,",
-          "all-distinct store declined")
+          "all-distinct store declined; schemas identical, packed store",
+          "never loaded")
     return 0
 
 

@@ -20,10 +20,14 @@ combination ``d(r) = sum coeff * -log2 p_hat(proj_mask(r))`` over the
 sample.  Every term of an I or J combination is constant on the groups of
 its *top term* (the union of its masks), and so is ``d``: the engine keeps
 one dense group-id vector and the group counts per mask, reads ``d`` once
-per top-term group at a representative row, and takes the mean and
-variance as count-weighted sums.  A decision therefore costs
+per top-term group at a representative, and takes the mean and variance
+as count-weighted sums.  A decision therefore costs
 O(terms x top-term groups), not O(terms x sample rows); the row-wise
-form is :func:`repro.reference.rowwise_interval`.
+form is :func:`repro.reference.rowwise_interval`.  The groupings are of
+the sample's distinct tuples when its counter packs them
+(:meth:`~repro.kernels.dispatch.GroupCounter.unit_ids_and_counts`), so
+each id vector is as long as the sample's distinct tuples, not its rows;
+the group counts, and with them every interval, are the same.
 
 Escalation makes the mined output exact — every verdict the miners see is
 either interval-certain (and the interval contains the exact value with
@@ -168,17 +172,18 @@ class ApproxEntropyEngine(EntropyOracle):
         self._sample_memo: Dict[int, EntropySample] = {}  # parallel to _memo
         #: Singleton fraction ``f1/n`` per mask (Good-Turing missing mass).
         self._f1_memo: Dict[int, float] = {}
-        #: Per-mask groupings of the sample: dense group ids (narrowed to
-        #: :func:`~repro.kernels.narrow_dtype` of the group count) and the
-        #: group counts, the raw material of combination intervals.
-        #: Capped (each id vector is ``sample_rows`` long); evicted
-        #: groupings regroup.
+        #: Per-mask groupings of the sample's units (its distinct tuples
+        #: when its counter packs, else its rows): dense group ids per
+        #: unit (narrowed to :func:`~repro.kernels.narrow_dtype` of the
+        #: group count) and the group counts in rows, the raw material
+        #: of combination intervals.  Capped (each id vector can be
+        #: ``sample_rows`` long); evicted groupings regroup.
         self._groups_memo: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = (
             OrderedDict()
         )
         self._groups_capacity = 512
-        #: Per top-term mask: one representative sample row per group and
-        #: the group counts (see :meth:`_interval_full`).  Capped like the
+        #: Per top-term mask: one representative unit per group and the
+        #: group counts (see :meth:`_interval_full`).  Capped like the
         #: groupings: a top term can have up to ``sample_rows`` groups.
         self._top_memo: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = (
             OrderedDict()
@@ -214,15 +219,11 @@ class ApproxEntropyEngine(EntropyOracle):
         if groups is not None and stats is not None:
             self._groups_memo.move_to_end(m)
             return stats, groups[0], groups[1]
-        if n == 0 or m == 0:
-            counts = np.full(1 if n else 0, n, dtype=np.int64)
-            ids = np.zeros(n, dtype=np.uint8)
-        else:
-            # Fused kernel call: dense ids and group counts from one
-            # grouping pass (no separate bincount for the moments).
-            idx = self.sample.col_indices(AttrSet.from_mask(m))
-            ids, counts = self.sample.kernels.ids_and_counts(idx)
-            ids = ids.astype(narrow_dtype(len(counts)), copy=False)
+        # Fused kernel call: dense ids and group counts from one grouping
+        # pass (no separate bincount for the moments).
+        idx = self.sample.col_indices(AttrSet.from_mask(m))
+        ids, counts = self.sample.kernels.unit_ids_and_counts(idx)
+        ids = ids.astype(narrow_dtype(len(counts)), copy=False)
         if stats is None:
             stats = sample_moments(counts, n, self.engine.estimator)
             self._sample_memo[m] = stats
@@ -241,14 +242,14 @@ class ApproxEntropyEngine(EntropyOracle):
         return self._materialise(m)
 
     def _top_groups(self, top: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(representative rows, counts)`` of mask ``top``'s groups."""
+        """``(representative units, counts)`` of mask ``top``'s groups."""
         hit = self._top_memo.get(top)
         if hit is not None:
             self._top_memo.move_to_end(top)
             return hit
         _, ids, counts = self._materialise(top)
-        rows = representatives(ids, len(counts))
-        hit = (rows.astype(narrow_dtype(len(ids)), copy=False), counts)
+        reps = representatives(ids, len(counts))
+        hit = (reps.astype(narrow_dtype(len(ids)), copy=False), counts)
         self._top_memo[top] = hit
         while len(self._top_memo) > self._groups_capacity:
             self._top_memo.popitem(last=False)
@@ -268,7 +269,7 @@ class ApproxEntropyEngine(EntropyOracle):
         I, key plus all dependents for J), because every term's mask is a
         subset of it.  So its mean and variance over the sample's rows are
         count-weighted sums over those groups: ``d`` is read once per
-        group, at a representative row, and with ``w`` the group counts
+        group, at a representative unit, and with ``w`` the group counts
         ``est = w.d / n`` and ``var = w.(d - est)^2 / n``.  The cost is
         O(terms x groups), not O(terms x sample rows).
 

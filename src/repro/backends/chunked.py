@@ -2,12 +2,12 @@
 
 :class:`ChunkedGroupCounter` is the backend-side twin of
 :class:`repro.kernels.dispatch.GroupCounter`: the same public surface
-the entropy engines consume (``counts`` / ``entropy`` / ``ids`` /
-``ids_and_counts`` / ``snapshot`` / ``snapshot_since``), answered from
-row blocks instead of a resident code matrix.  The blocks arrive in each
-column's narrow stored dtype (:func:`repro.kernels.narrow_dtype`) and
-are composed into keys as they are, the layout the in-memory counter
-composes from too.
+the entropy engines and quality consume (``counts`` / ``entropy`` /
+``unit_ids_and_counts`` / ``ids`` / ``snapshot`` / ``snapshot_since``),
+answered from row blocks instead of a resident code matrix.  The blocks
+arrive in each column's narrow stored dtype
+(:func:`repro.kernels.narrow_dtype`) and are composed into keys as they
+are, the layout the in-memory counter composes from too.
 
 Routing:
 
@@ -28,10 +28,12 @@ Routing:
   bit-identical to the in-memory dispatcher, so
   :class:`~repro.entropy.plicache.PLICacheEngine`'s fast path mines a
   store without ever materialising it.
-* ``ids``/``ids_and_counts`` — needed only by the partition paths
-  (schema evaluation, spurious-tuple counting) — require row-aligned
-  output, which is inherently O(rows) memory; they delegate to an
-  in-memory :class:`GroupCounter` over the materialised matrix,
+* ``unit_ids_and_counts`` — the grouping spurious-tuple counting reads,
+  one id per unit.  A packed store's units are its packed tuples, so it
+  answers from the packed table with no chunk reads.
+* ``ids`` (row-aligned output, inherently O(rows) memory), and the unit
+  grouping of a store that declined or of a pushdown backend, delegate
+  to an in-memory :class:`GroupCounter` over the materialised matrix,
   counted in the ``chunked_materialized`` stat so a bench or test can
   assert an out-of-core run never silently fell back.
 
@@ -113,9 +115,7 @@ class ChunkedGroupCounter:
         if self.backend.supports_count_pushdown:
             self.stats["chunked_pushdown"] += 1
             return self.backend.key_counts(tuple(idx))
-        packed = self._packed
-        if packed is None:
-            packed = self._packed = self._pack()
+        packed = self._probe()
         if packed:
             return packed.counts(idx)
         return dispatch.stream_counts(
@@ -124,6 +124,13 @@ class ChunkedGroupCounter:
             self.limit,
             self.stats,
         )
+
+    def _probe(self) -> Union[bool, "dispatch.PackedTable"]:
+        """The packed table, or ``False``; packs on the first call."""
+        packed = self._packed
+        if packed is None:
+            packed = self._packed = self._pack()
+        return packed
 
     def _pack(self) -> Union[bool, "dispatch.PackedTable"]:
         """One streamed pass over all columns into the packed table.
@@ -144,6 +151,26 @@ class ChunkedGroupCounter:
             return 0.0
         return count.entropy_from_counts(self.counts(idx), self.n_rows)
 
+    def unit_ids_and_counts(self, idx: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        """As :meth:`GroupCounter.unit_ids_and_counts
+        <repro.kernels.dispatch.GroupCounter.unit_ids_and_counts>`.
+
+        A packed store's units are its packed tuples; a store that
+        declined, or a pushdown backend, has the dense fallback's units.
+        """
+        trace = _TRACE.trace
+        if trace is None:
+            return self._unit_ids_and_counts(idx)
+        with trace.span("kernel"):
+            return self._unit_ids_and_counts(idx)
+
+    def _unit_ids_and_counts(self, idx: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        if not self.backend.supports_count_pushdown:
+            packed = self._probe()
+            if packed:
+                return packed.ids_and_counts(idx)
+        return self._dense_counter()._unit_ids_and_counts(idx)
+
     # ------------------------------------------------------------------ #
     # Dense fallbacks (row-aligned output => in-memory)
     # ------------------------------------------------------------------ #
@@ -158,9 +185,6 @@ class ChunkedGroupCounter:
             self.stats["chunked_materialized"] += 1
             self._dense = self._materialize()
         return self._dense
-
-    def ids_and_counts(self, idx: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
-        return self._dense_counter().ids_and_counts(idx)
 
     def ids(self, idx: Tuple[int, ...]) -> Tuple[np.ndarray, int]:
         return self._dense_counter().ids(idx)

@@ -18,7 +18,9 @@ duck-types the ``Relation`` surface:
   mining a store 10-100x larger than RAM possible.  A store whose
   distinct tuples fit one chunk (and half its rows) is read once, into
   its packed table, and counted from memory after that; any other
-  store streams its chunks per count.
+  store streams its chunks per count.  Spurious-tuple counting groups
+  a packed store's tuples too, so a ``schemas`` request on it never
+  materialises.
 * **Materialising** (documented, lazy, cached): ``codes``, ``domains``,
   row access and the relational operations (``project`` etc.), which
   are inherently O(rows).  The first such call builds the in-memory

@@ -296,7 +296,11 @@ class Relation:
         j = self.col_index(attr)
         card = self._cards[j]
         if card is None:
-            card = int(len(np.unique(self.codes[:, j]))) if self.n_rows else 0
+            # return_counts keeps np.unique on its sorted path; the plain
+            # call takes NumPy 2.4's unsorted one, about 30x slower on a
+            # column of 1M distinct codes.
+            counts = np.unique(self.codes[:, j], return_counts=True)[1]
+            card = len(counts)
             self._cards[j] = card
         return card
 

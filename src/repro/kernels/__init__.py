@@ -33,8 +33,10 @@ evaluation), :func:`key_counts` (raw-key counting for
 :class:`~repro.entropy.partitions.EvolvingPartition`),
 :func:`grouping_order` (the counting-sort permutation behind
 :meth:`StrippedPartition.from_group_ids`) and :func:`representatives`
-(one row per group: deduplicated projections and spurious-tuple
-counting).
+(one member per group: deduplicated projections, approx intervals and
+spurious-tuple counting).  :meth:`GroupCounter.unit_ids_and_counts`
+groups a packed relation's distinct tuples instead of its rows, for the
+callers that read each group only through one member.
 """
 
 from repro.kernels.count import (

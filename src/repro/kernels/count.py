@@ -67,14 +67,10 @@ def pack_cap(n_rows: int) -> int:
 # --------------------------------------------------------------------- #
 
 
-def bincount_counts(
-    keys: np.ndarray, dense: bool = False, weights: Optional[np.ndarray] = None
-) -> np.ndarray:
+def bincount_counts(keys: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
     """Group sizes via one ``np.bincount`` scatter, ``O(n + K)``.
 
-    ``dense=True`` asserts the keys are already dense group ids (every
-    value in ``0..max`` occurs), letting the zero-compression pass be
-    skipped.  Counts come out indexed by key, i.e. ascending key order.
+    Counts come out indexed by key, i.e. ascending key order.
 
     ``weights`` gives each key a positive integer multiplicity (a packed
     table's tuple counts, as float64), and a group's size is the sum of
@@ -86,8 +82,6 @@ def bincount_counts(
         sums = np.bincount(keys, weights=weights)
         return sums[sums > 0].astype(np.int64)
     counts = np.bincount(keys)
-    if dense:
-        return counts
     return counts[counts > 0]
 
 
@@ -97,9 +91,7 @@ def sort_counts(keys: np.ndarray, weights: Optional[np.ndarray] = None) -> np.nd
     ``weights`` as in :func:`bincount_counts`.
     """
     if weights is not None:
-        uniq, inv = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inv.reshape(-1), weights=weights, minlength=len(uniq))
-        return sums.astype(np.int64)
+        return sort_ids_and_counts(keys, weights)[1]
     return np.unique(keys, return_counts=True)[1]
 
 
@@ -323,22 +315,34 @@ def sort_ids(keys: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 def bincount_ids_and_counts(
-    keys: np.ndarray, dense: bool = False
+    keys: np.ndarray, weights: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused ``(dense ids, group counts)`` in one bincount pass."""
-    counts = np.bincount(keys)
-    if dense:
-        return keys.astype(np.int64, copy=False), counts
+    """Fused ``(dense ids, group counts)`` in one bincount pass.
+
+    ``weights`` as in :func:`bincount_counts`: the ids stay per key, the
+    counts are the groups' summed weights.
+    """
+    counts = np.bincount(keys, weights=weights)
     present = counts > 0
     remap = np.cumsum(present, dtype=np.int64)
     remap -= 1
-    return remap[keys], counts[present]
+    return remap[keys], counts[present].astype(np.int64, copy=False)
 
 
-def sort_ids_and_counts(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused ``(dense ids, group counts)`` via one ``np.unique``."""
-    _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return inv.reshape(-1).astype(np.int64, copy=False), counts
+def sort_ids_and_counts(
+    keys: np.ndarray, weights: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fused ``(dense ids, group counts)`` via one ``np.unique``.
+
+    ``weights`` as in :func:`bincount_counts`.
+    """
+    if weights is None:
+        _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        return inv.reshape(-1).astype(np.int64, copy=False), counts
+    uniq, inv = np.unique(keys, return_inverse=True)
+    inv = inv.reshape(-1)
+    sums = np.bincount(inv, weights=weights, minlength=len(uniq))
+    return inv.astype(np.int64, copy=False), sums.astype(np.int64)
 
 
 # --------------------------------------------------------------------- #
@@ -388,12 +392,15 @@ def grouping_order(ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def representatives(ids: np.ndarray, n_groups: int) -> np.ndarray:
-    """One row index per group, in group-id order.
+    """One member index per group, in group-id order.
 
-    Rows of a group agree on the grouped attributes, so any member
-    represents it: ``codes[representatives(*kernels.ids(idx))][:, idx]``
-    is the deduplicated projection onto ``idx`` in ascending key order
-    (the rows and order of ``np.unique(codes[:, idx], axis=0)``).
+    ``ids`` gives each member (a row, or a unit of
+    :meth:`~repro.kernels.dispatch.GroupCounter.unit_ids_and_counts`)
+    its group; the result indexes the same members.  Members of a group
+    agree on the grouped attributes, so any one represents it:
+    ``codes[representatives(*kernels.ids(idx))][:, idx]`` is the
+    deduplicated projection onto ``idx`` in ascending key order (the
+    rows and order of ``np.unique(codes[:, idx], axis=0)``).
     """
     rows = np.empty(n_groups, dtype=np.int64)
     rows[ids] = np.arange(len(ids), dtype=np.int64)

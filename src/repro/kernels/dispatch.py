@@ -35,10 +35,18 @@ element for element.  Otherwise the relation is marked unpackable and
 its rows are counted as above.  In memory the probe groups all rows in
 one block, so a declined probe costs about one row count (a store's
 probe reads blocks and folds their sorted runs lazily,
-:func:`count.chunked_merge_keys`).  Row-aligned answers (``ids``,
-``ids_and_counts``) always read the rows and never probe.  The probe is
-counted as ``packs`` or ``pack_declines``, never as a kernel call; each
-answer from the packed table counts as one ``bincount`` or ``sort``.
+:func:`count.chunked_merge_keys`).  The probe is counted as ``packs`` or
+``pack_declines``, never as a kernel call; each answer from the packed
+table counts as one ``bincount`` or ``sort``.
+
+**Units.**  Callers that read a grouping only through one member per
+group (approx decision intervals, spurious-tuple join counts) ask
+:meth:`GroupCounter.unit_ids_and_counts`: dense ids over the counter's
+*units* — the packed tuples, or the rows when the relation declined —
+next to the same group sizes.  Row-aligned answers (``ids``,
+``ids_and_counts``) always read the rows and never probe; they serve
+the callers that need rows (the stratified sampler, FD measures,
+partitions, ``project``).
 
 **Prefix sharing.**  The planner (:mod:`repro.exec.plan`) orders batch
 requests by (size, lexicographic), so consecutive attribute sets share
@@ -246,6 +254,22 @@ def _dispatch_counts(
     return count.sort_counts(keys, weights=weights)
 
 
+def _dispatch_ids_and_counts(
+    keys: np.ndarray,
+    bound: int,
+    limit: int,
+    stats: Dict[str, int],
+    weights: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(dense ids, group sizes)`` of composed keys, as
+    :func:`_dispatch_counts` chooses and counts its kernel."""
+    if 0 <= bound <= limit:
+        stats["bincount"] += 1
+        return count.bincount_ids_and_counts(keys, weights=weights)
+    stats["sort"] += 1
+    return count.sort_ids_and_counts(keys, weights=weights)
+
+
 class PackedTable:
     """A relation's distinct tuples and their multiplicities.
 
@@ -263,7 +287,7 @@ class PackedTable:
     ``bincount`` or ``sort`` there, as a row count would.
     """
 
-    __slots__ = ("tuples", "weights")
+    __slots__ = ("tuples", "weights", "n_rows")
 
     def __init__(
         self,
@@ -276,12 +300,32 @@ class PackedTable:
         self.tuples = GroupCounter(codes, radix, prefix_budget, stats=stats)
         # float64 for np.bincount's weights: exact below 2^53 rows.
         self.weights = counts.astype(np.float64)
+        #: Rows the tuples stand for.
+        self.n_rows = int(counts.sum())
 
     def counts(self, idx: Tuple[int, ...]) -> np.ndarray:
         """Group sizes for a non-empty ``idx``, in ascending key order."""
         tuples = self.tuples
         keys, bound = tuples.compose_keys(idx)
         return _dispatch_counts(keys, bound, tuples.limit, tuples.stats, self.weights)
+
+    def ids_and_counts(self, idx: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        """Dense group id per tuple and group sizes in rows.
+
+        The sizes are :meth:`counts`, element for element; an empty
+        ``idx`` puts every tuple in one group of all the rows.
+        """
+        tuples = self.tuples
+        if not idx:
+            n = self.n_rows
+            return (
+                np.zeros(tuples.n_rows, dtype=np.int64),
+                np.full(min(1, n), n, dtype=np.int64),
+            )
+        keys, bound = tuples.compose_keys(idx)
+        return _dispatch_ids_and_counts(
+            keys, bound, tuples.limit, tuples.stats, self.weights
+        )
 
 
 def pack(
@@ -448,13 +492,18 @@ class GroupCounter:
         if not idx:
             n = self.n_rows
             return np.full(min(1, n), n, dtype=np.int64)
-        packed = self._packed
-        if packed is None:
-            packed = self._packed = self._pack()
+        packed = self._probe()
         if packed:
             return packed.counts(idx)
         keys, bound = self.compose_keys(idx)
         return _dispatch_counts(keys, bound, self.limit, self.stats)
+
+    def _probe(self) -> Union[PackedTable, bool]:
+        """The packed table, or ``False``; packs on the first call."""
+        packed = self._packed
+        if packed is None:
+            packed = self._packed = self._pack()
+        return packed
 
     def _pack(self) -> Union[PackedTable, bool]:
         """Group all columns once into the packed table, or decline.
@@ -504,11 +553,33 @@ class GroupCounter:
                 np.full(min(1, n), n, dtype=np.int64),
             )
         keys, bound = self.compose_keys(idx)
-        if 0 <= bound <= self.limit:
-            self.stats["bincount"] += 1
-            return count.bincount_ids_and_counts(keys)
-        self.stats["sort"] += 1
-        return count.sort_ids_and_counts(keys)
+        return _dispatch_ids_and_counts(keys, bound, self.limit, self.stats)
+
+    def unit_ids_and_counts(self, idx: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(dense group id per unit, group sizes in rows)`` for ``idx``.
+
+        The counter's *units* are the packed table's distinct tuples
+        when the relation packed, its rows when it declined; the first
+        call probes the pack as :meth:`counts` does.  The sizes equal
+        :meth:`counts` element for element, and two units share an id
+        iff their codes agree on ``idx``, so :func:`count.representatives`
+        of the ids picks one unit per group.  Meant for callers that
+        read a group only through one member (approx intervals,
+        spurious-tuple counts): a packed relation is grouped over its
+        ``G`` tuples instead of its ``N`` rows.  An empty ``idx`` gives
+        zeros over the units.
+        """
+        trace = _TRACE.trace
+        if trace is None:
+            return self._unit_ids_and_counts(idx)
+        with trace.span("kernel"):
+            return self._unit_ids_and_counts(idx)
+
+    def _unit_ids_and_counts(self, idx: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        packed = self._probe()
+        if packed:
+            return packed.ids_and_counts(idx)
+        return self._ids_and_counts(idx)
 
     def ids(self, idx: Tuple[int, ...]) -> Tuple[np.ndarray, int]:
         """Dense group ids and group count for ``idx``.

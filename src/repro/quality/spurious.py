@@ -16,12 +16,17 @@ schema on Nursery joins to 64 800 rows from 12 960 — but wider examples
 explode combinatorially).
 
 The pass runs on dense group ids, never on tuples.  A bag's distinct
-tuples are the groups of the relation's kernel ids over the bag (one
-representative row each) and a separator value is its kernel id, so a
-message is an int64 array indexed by separator id: children scatter-add
-their weights into it, parents gather and multiply.  Counts stay exact:
-an array is promoted to Python ints whenever a bound check shows int64
-could overflow.
+tuples are the groups of the relation's kernel grouping over the bag
+(one representative unit each, see
+:meth:`~repro.kernels.dispatch.GroupCounter.unit_ids_and_counts`: a
+distinct tuple of R when R packs, else a row) and a separator value is
+its group id, so a message is an int64 array indexed by separator id:
+children scatter-add their weights into it, parents gather and multiply.
+A join count depends only on the distinct projections, so grouping the
+packed tuples instead of the rows changes nothing but the cost, and a
+packed store is counted without loading it.  Counts stay exact: an array
+is promoted to Python ints whenever a bound check shows int64 could
+overflow.
 """
 
 from __future__ import annotations
@@ -111,21 +116,26 @@ def join_row_count(relation: Relation, schema: Schema) -> int:
 
     Counts by message passing over a join tree (:func:`count_join`); never
     materialises the join or the projections.  A bag's tuples are the
-    groups of ``relation.kernels.ids(bag)``; an edge's separator ids are
-    ``relation.kernels.ids(separator)`` read at one row per group.
-    Combinatorial explosions beyond int64 are returned exactly.
+    groups of ``relation.kernels.unit_ids_and_counts(bag)``; an edge's
+    separator ids are the same grouping of the separator, read at one
+    unit per bag group.  Combinatorial explosions beyond int64 are
+    returned exactly.
     """
     tree = schema.join_tree()
     kernels = relation.kernels
-    rows = [
-        representatives(*kernels.ids(relation.col_indices(bag))) for bag in tree.bags
-    ]
+
+    def grouping(attrs) -> Tuple[np.ndarray, int]:
+        """Dense group id per unit and the number of groups."""
+        ids, counts = kernels.unit_ids_and_counts(relation.col_indices(attrs))
+        return ids, len(counts)
+
+    reps = [representatives(*grouping(bag)) for bag in tree.bags]
 
     def edge_ids(u: int, c: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        ids, k = kernels.ids(relation.col_indices(tree.bags[u] & tree.bags[c]))
-        return ids[rows[u]], ids[rows[c]], k
+        ids, k = grouping(tree.bags[u] & tree.bags[c])
+        return ids[reps[u]], ids[reps[c]], k
 
-    return count_join(tree, [np.ones(len(r), dtype=np.int64) for r in rows], edge_ids)
+    return count_join(tree, [np.ones(len(r), dtype=np.int64) for r in reps], edge_ids)
 
 
 def spurious_tuple_count(relation: Relation, schema: Schema) -> int:

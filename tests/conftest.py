@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.data.generators import (
 )
 from repro.data.relation import Relation
 from repro.entropy.oracle import make_oracle
+from repro.kernels import representatives
 
 
 @pytest.fixture(scope="session")
@@ -105,3 +108,51 @@ def packing_relations(draw, max_rows: int = 40):
             codes[:, j] = rng.permutation(n_rows) * int(rng.choice([1, 2**33]))
     codes = codes.reshape(n_rows, n_cols).astype(np.int64)
     return Relation(codes, [f"c{j}" for j in range(n_cols)])
+
+
+def unit_codes(counter, codes: np.ndarray) -> np.ndarray:
+    """Code matrix of ``counter``'s units, once it has grouped them: its
+    packed tuples, else its rows (a store counter that declined groups
+    through its dense fallback, which may pack on its own)."""
+    packed = counter._packed
+    if not packed:
+        dense = getattr(counter, "_dense", None)
+        packed = dense._packed if dense is not None else False
+    return packed.tuples.codes if packed else codes
+
+
+def check_unit_grouping(counter, codes: np.ndarray) -> None:
+    """``counter.unit_ids_and_counts`` against ``np.unique`` over the rows.
+
+    For the empty subset and every other: the counts are ``np.unique``'s
+    over the rows, the units at the representatives projected onto the
+    subset are its distinct rows, and two units share an id iff their
+    codes agree on the subset (the ids are the ranks of the units'
+    projections).  An empty subset puts every unit in one group of all
+    the rows; every other call counts as one ``bincount`` or ``sort``.
+    """
+    n, n_cols = codes.shape
+    ids, counts = counter.unit_ids_and_counts(())
+    units = unit_codes(counter, codes)
+    assert ids.dtype == np.int64 and counts.dtype == np.int64
+    assert np.array_equal(ids, np.zeros(len(units), dtype=np.int64))
+    assert counts.tolist() == ([n] if n else [])
+
+    def kernel_calls():
+        snap = counter.snapshot()
+        return snap["bincount"] + snap["sort"]
+
+    for size in range(1, n_cols + 1):
+        for idx in itertools.combinations(range(n_cols), size):
+            cols = list(idx)
+            distinct, want = np.unique(codes[:, cols], axis=0, return_counts=True)
+            calls = kernel_calls()
+            ids, counts = counter.unit_ids_and_counts(idx)
+            assert kernel_calls() == calls + 1, idx
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, want), idx
+            assert len(ids) == len(units), idx
+            reps = representatives(ids, len(counts))
+            assert np.array_equal(units[reps][:, cols], distinct), idx
+            _, ranks = np.unique(units[:, cols], axis=0, return_inverse=True)
+            assert np.array_equal(ids, ranks.reshape(-1)), idx

@@ -464,6 +464,77 @@ class TestGroupwiseInterval:
 
 
 # --------------------------------------------------------------------- #
+# Groupings of the packed sample's tuples against its rows
+# --------------------------------------------------------------------- #
+
+
+def _record_intervals(engine):
+    """Log every ``_interval_full`` result of ``engine``."""
+    log = []
+    inner = engine._interval_full
+
+    def recorded(terms):
+        out = inner(terms)
+        log.append(out)
+        return out
+
+    engine._interval_full = recorded
+    return log
+
+
+def _tally(engine):
+    return (engine.queries, engine.evals, engine.escalations, engine.exact_evals)
+
+
+class TestPackedSample:
+    """A sample whose counter packs is grouped over its distinct tuples;
+    every interval, verdict and counter equals the one grouped over its
+    rows (the same engine with the sample counter's ``_packed = False``).
+    Each engine gets its own sample object, so the two counters are
+    separate."""
+
+    @given(approx_setups())
+    @settings(max_examples=60, deadline=None)
+    def test_intervals_equal_row_groupings(self, setup):
+        relation, k, seed, bound, confidence = setup
+        knobs = dict(sample_rows=k, confidence=confidence,
+                     sample_seed=seed % 7, bound=bound)
+        clear_sample_cache()
+        eng = ApproxEntropyEngine(relation, **knobs)
+        clear_sample_cache()
+        ref = ApproxEntropyEngine(relation, **knobs)
+        ref.sample.kernels._packed = False
+        got, want = _record_intervals(eng), _record_intervals(ref)
+        rng = np.random.default_rng(seed)
+        for kind, args, eps in _decisions(rng, relation.n_cols, 10):
+            if kind == "mi":
+                triples = [(_bits(y), _bits(z), _bits(x)) for y, z, x in args]
+                assert eng.mis_exceed(triples, eps) == ref.mis_exceed(triples, eps)
+            else:
+                assert eng.j_le(args[0], args[1], eps) == ref.j_le(args[0], args[1], eps)
+            assert got == want, (kind, args, eps)
+            assert _tally(eng) == _tally(ref)
+
+    def test_tall_mine_equals_row_groupings(self):
+        relation = markov_tree(8, 60_000, seed=3)
+        spec = EngineSpec(engine="approx", sample_rows=12_000)
+        clear_sample_cache()
+        packed = Maimon(relation, spec=spec)
+        clear_sample_cache()
+        rows = Maimon(relation, spec=spec)
+        rows.oracle.sample.kernels._packed = False
+        got, want = _record_intervals(packed.oracle), _record_intervals(rows.oracle)
+        a, b = packed.mine_mvds(0.1), rows.mine_mvds(0.1)
+        sample = packed.oracle.sample.kernels
+        assert sample._packed and sample._packed.tuples.n_rows * 10 < sample.n_rows
+        assert sorted(a.mvds) == sorted(b.mvds)
+        assert a.min_seps == b.min_seps
+        assert len(got) > 500 and got == want
+        assert _tally(packed.oracle) == _tally(rows.oracle)
+        assert packed.oracle.escalations > 0
+
+
+# --------------------------------------------------------------------- #
 # Golden parity on the Table 2 surrogates
 # --------------------------------------------------------------------- #
 

@@ -43,7 +43,7 @@ from repro.data.relation import Relation
 from repro.exec import persist
 from repro.kernels import count as kcount
 from repro.kernels import dispatch, narrow_dtype
-from tests.conftest import packing_relations
+from tests.conftest import check_unit_grouping, packing_relations
 
 
 def subsets(n_cols, max_size=None):
@@ -298,6 +298,29 @@ class TestPackedStore:
                 assert counter._packed is False
                 streamed = sum(stats[k] for k in self.ANSWERS[2:])
                 assert stats["chunked_chunks"] == probe_chunks + streamed * n_chunks
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=packing_relations(), data=st.data())
+    def test_unit_grouping_matches_unique_rows(self, r, data):
+        # A packed store groups its packed tuples without loading
+        # itself; one that declined groups through the dense fallback.
+        codes, n = r.codes, r.n_rows
+        chunk_rows = data.draw(st.integers(1, max(n, 1)), label="chunk_rows")
+        packs = len(np.unique(codes, axis=0)) <= min(kcount.pack_cap(n), chunk_rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "store")
+            write_store(r, path)
+            counter = open_store_relation(path, chunk_rows=chunk_rows).kernels
+            check_unit_grouping(counter, codes)
+            assert counter.stats["packs"] == int(packs)
+            assert counter.stats["chunked_materialized"] == int(not packs)
+
+    def test_pushdown_backend_units_are_the_dense_fallbacks(self, rel):
+        counter = ChunkedGroupCounter(NumpyBackend(rel),
+                                      materialize=lambda: rel.kernels)
+        check_unit_grouping(counter, rel.codes)
+        assert counter.stats["chunked_materialized"] == 1
+        assert counter._packed is None
 
     def test_table_never_exceeds_one_chunk(self):
         # 40 distinct tuples over 4,000 rows pack in memory, but a store

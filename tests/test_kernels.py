@@ -36,7 +36,7 @@ from repro.kernels import (
 )
 from repro.kernels import count as kcount
 from repro.reference import counting_oracle
-from conftest import packing_relations, random_relation
+from conftest import check_unit_grouping, packing_relations, random_relation
 
 
 def legacy_group_ids(codes, radix, idx):
@@ -451,6 +451,20 @@ class TestPackedCounting:
                 assert np.array_equal(fused_counts, want), idx
         # One probe per relation, whatever was asked since.
         assert gc.stats["packs"] + gc.stats["pack_declines"] == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=packing_relations())
+    def test_unit_grouping_matches_unique_rows(self, r):
+        codes, n = r.codes, r.n_rows
+        packs = len(np.unique(codes, axis=0)) * kcount.PACK_RATIO <= n
+        gc = GroupCounter(codes, r.radix)
+        check_unit_grouping(gc, codes)
+        # The first call probed, as a count would; the units are the
+        # packed tuples when the relation packs.
+        assert gc.stats["packs"] == int(packs)
+        assert gc.stats["pack_declines"] == int(not packs)
+        assert len(gc.unit_ids_and_counts(())[0]) == (
+            gc._packed.tuples.n_rows if packs else n)
 
 
 class TestEnginesUseKernels:

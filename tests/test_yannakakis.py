@@ -172,6 +172,31 @@ class TestJoinCountDifferential:
         assert count_query(DecomposedBags(stored, schema)) == want
         assert stored.kernels.snapshot()["chunked_materialized"] == 1
 
+    def test_packed_store_is_not_loaded(self, tmp_path):
+        # A store that packs is grouped over its packed tuples: neither a
+        # join count nor a whole ``schemas`` request loads it.
+        from repro import api
+        from repro.backends import open_store_relation, write_store
+
+        rng = np.random.default_rng(0)
+        base = rng.integers(0, 3, (12, 5))
+        rel = Relation.from_codes(base[rng.integers(0, 12, 300)])
+        path = str(tmp_path / "s.store")
+        write_store(rel, path)
+        stored = open_store_relation(path)
+        schema = Schema([fs(0, 1), fs(1, 2), fs(1, 3), fs(3, 4)])
+        assert join_row_count(stored, schema) == brute_join_count(rel, schema.bags)
+        snap = stored.kernels.snapshot()
+        assert snap["chunked_materialized"] == 0
+        assert snap["packs"] == 1
+
+        spec = api.SchemasSpec(eps=0.2)
+        got = api.run(api.TaskRequest("schemas", spec, data=api.DataSpec(store=path)))
+        want = api.run(api.TaskRequest("schemas", spec), relation=rel)
+        assert got.counters["kernel.chunked_materialized"] == 0
+        assert got.payload["schemas"] == want.payload["schemas"]
+        assert any(s["quality"]["spurious_pct"] > 0 for s in got.payload["schemas"])
+
     @pytest.mark.parametrize("shape", ["singletons", "chain"])
     def test_exact_beyond_int64(self, shape):
         # Both joins are every combination of column values, so their size
